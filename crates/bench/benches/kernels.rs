@@ -268,11 +268,11 @@ fn bench_big_index_probe(c: &mut Criterion) {
 
 fn bench_search_batch(c: &mut Criterion) {
     // A gateway micro-batch against the HNSW index: sequential per-query
-    // `search` vs the lock-step `search_batch` that packs shared neighbor
-    // panels and reuses them across rounds. Run on the f32 index and on its
-    // int8- and product-quantized twins. Queries cluster around a few
-    // bases, like the near-duplicate prompts a linger window actually
-    // collects — that overlap is what the shared panels amortize.
+    // `search` vs `search_batch`, on the f32 index and on its int8- and
+    // product-quantized twins. On f32 `search_batch` is that same loop, so
+    // its row reads ~1.0x; the quantized tiers probe each expansion's
+    // neighbors with one row-blocked kernel call. Queries cluster around a
+    // few bases, like the near-duplicate prompts a linger window collects.
     let vecs = random_vectors(BATCH_INDEX, EMBED_DIM, 139);
     let bases = random_vectors(3, EMBED_DIM, 149);
     let noise = random_vectors(BATCH_QUERIES, EMBED_DIM, 151);

@@ -9,7 +9,6 @@
 //!              [--net-profile none|lan|lossy] [--hedge-ms N] [--rescue-ms N]
 //!              [--partition START:END:ID[,ID...]]
 //!              [--leave T:NODE] [--join T:NODE] [--crash T:NODE]
-//!              [--handoff-dir DIR]
 //!              [--repl-fanout on|off] [--ae-interval MS]
 //!              [--gossip-interval MS] [--gossip-fanout N] [--quiet-ms MS]
 //!              [--fault-profile NAME] [--seed S] [--threads N]
@@ -27,9 +26,7 @@
 //! the rest of the fleet for `[START, END)` simulated ms (repeatable).
 //! `--leave T:NODE` / `--join T:NODE` / `--crash T:NODE` script membership
 //! changes (repeatable; a crash is a hard death — no drain, no hand-off,
-//! no announcement); with `--handoff-dir DIR` the rebalance hand-off
-//! travels through `pas-store` segment logs under DIR instead of moving
-//! in memory — the report is identical either way.
+//! no announcement).
 //!
 //! Round-2 replication knobs: `--repl-fanout off` disables write-fanout
 //! to candidate replicas (on by default), `--ae-interval MS` enables
@@ -157,7 +154,6 @@ fn main() {
         hedge_ms: flag(&args, "--hedge-ms", 12u64),
         rescue_ms: flag(&args, "--rescue-ms", 40u64),
         script,
-        handoff_dir: path_flag(&args, "--handoff-dir"),
         repl_fanout,
         ae_interval_ms: flag(&args, "--ae-interval", 0u64),
         gossip_interval_ms: flag(&args, "--gossip-interval", 0u64),

@@ -10,36 +10,30 @@
 //! scanner in [`crate::exact`] provides the correctness oracle in tests and
 //! the speed baseline in benches.
 //!
-//! Three speed layers sit on top of the textbook algorithm, none of which
+//! Two speed layers sit on top of the textbook algorithm, neither of which
 //! changes a single output bit relative to the baseline paths they replace:
 //!
 //! - **Quantized traversal** ([`Hnsw::set_quantization`] for int8,
 //!   [`Hnsw::set_product_quantization`] for PQ codes): graph construction
 //!   stays f32 (the graph is identical either way), but search probes run on
 //!   integer codes and an over-fetched candidate set is re-ranked with exact
-//!   f32 distances (see [`crate::quant`]).
-//! - **Batched multi-query search** ([`Hnsw::search_batch`]): a micro-batch
-//!   of queries walks layer 0 in lock-step; packed neighbor panels are built
-//!   once per expanded node, cached across rounds, and probed with block
-//!   kernels by every query that reaches the node. Each query's heap
-//!   trajectory is exactly its sequential one, so the results equal
-//!   per-query [`Hnsw::search`] bit-for-bit.
+//!   f32 distances (see [`crate::quant`]). On these tiers
+//!   [`Hnsw::search_batch`] probes each expansion's unvisited neighbors with
+//!   one row-blocked kernel call.
 //! - **Incremental removal** ([`Hnsw::remove`]): unlink a node and re-link
 //!   its peers through the diversity heuristic, instead of tombstoning and
 //!   rebuilding the live set.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::metric::Metric;
 use crate::quant::{
-    pq_rerank_overfetch, rerank_overfetch, PqCodebook, PqConfig, PqStore, PqTable, QuantStore,
-    OBS_PQ, OBS_QUANTIZED, OBS_RERANK, PQ_TRAIN_MIN,
+    pq_rerank_overfetch, rerank_overfetch, PqCodebook, PqConfig, PqStore, QuantStore, OBS_PQ,
+    OBS_QUANTIZED, OBS_RERANK, PQ_TRAIN_MIN,
 };
 use crate::Neighbor;
 
@@ -59,7 +53,7 @@ static OBS_BATCH_QUERIES: pas_obs::Counter = pas_obs::Counter::new("ann.search_b
 const MIN_ROW_BLOCK: usize = 4;
 
 /// HNSW construction parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HnswConfig {
     /// Max bidirectional links per node per layer (layer 0 uses `2 * m`).
     pub m: usize,
@@ -98,7 +92,7 @@ impl PartialOrd for Candidate {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug)]
 struct Node {
     /// `neighbors[l]` = adjacency at layer `l`; length = node level + 1.
     neighbors: Vec<Vec<usize>>,
@@ -107,46 +101,6 @@ struct Node {
 impl Node {
     fn level(&self) -> usize {
         self.neighbors.len() - 1
-    }
-}
-
-/// Per-query layer-0 state inside [`Hnsw::search_batch`]: the same two heaps
-/// plus visited set that `search_layer` keeps on its stack, promoted to a
-/// struct so a micro-batch of beams can advance in lock-step.
-struct Beam {
-    candidates: BinaryHeap<std::cmp::Reverse<Candidate>>,
-    results: BinaryHeap<Candidate>,
-    visited: Vec<bool>,
-    active: bool,
-    probes: u64,
-}
-
-impl Beam {
-    /// The accept/evict step of `search_layer`'s inner loop, verbatim.
-    fn offer(&mut self, d: f32, id: usize, ef: usize) {
-        let worst = self.results.peek().expect("results never empty").distance;
-        if self.results.len() < ef || d < worst {
-            let cand = Candidate { distance: d, id };
-            self.candidates.push(std::cmp::Reverse(cand));
-            self.results.push(cand);
-            if self.results.len() > ef {
-                self.results.pop();
-            }
-        }
-    }
-
-    /// Consumes one expansion's precomputed neighbor distances. Unvisited
-    /// rows are taken in adjacency order, exactly like the lazy path; rows
-    /// already visited are skipped without counting a probe.
-    fn absorb_block(&mut self, neighbors: &[usize], dvec: &[f32], ef: usize) {
-        for (j, &next) in neighbors.iter().enumerate() {
-            if self.visited[next] {
-                continue;
-            }
-            self.visited[next] = true;
-            self.probes += 1;
-            self.offer(dvec[j], next, ef);
-        }
     }
 }
 
@@ -775,301 +729,81 @@ impl<M: Metric> Hnsw<M> {
     }
 
     /// Searches a micro-batch of queries, bit-identical to mapping
-    /// [`Hnsw::search`] over them one by one.
+    /// [`Hnsw::search`] over them one by one — results, search counts and
+    /// probe counts alike.
     ///
-    /// All queries descend the upper layers independently, then walk layer 0
-    /// in lock-step rounds: each round every still-active beam pops its next
-    /// expansion node, the round's expansions are grouped by node id, and
-    /// each group's neighbor rows are packed once into a contiguous panel
-    /// that every grouped query probes with one block-kernel call
-    /// ([`Metric::prepared_distance_block`] / int8 when quantized). Block
-    /// rows are bit-identical to pairwise probes and each beam consumes them
-    /// in adjacency order, so every query's heap trajectory — and therefore
-    /// its result — is exactly the sequential one.
+    /// On the f32 tier that is all it does. On the int8 and PQ tiers each
+    /// query walks layer 0 through `search_layer0_blocked`, which probes an
+    /// expansion's unvisited neighbors with one row-indexed block-kernel
+    /// call instead of one probe per row. The visit order is the lazy
+    /// walk's, so every result bit is too.
     pub fn search_batch(&self, queries: &[Vec<f32>], k: usize, ef: usize) -> Vec<Vec<Neighbor>> {
         if queries.is_empty() {
             return Vec::new();
         }
         OBS_BATCHES.incr();
         OBS_BATCH_QUERIES.add(queries.len() as u64);
+        let pq_store = self.pq_ready();
+        if self.quant.is_none() && pq_store.is_none() {
+            return queries.iter().map(|q| self.search(q, k, ef)).collect();
+        }
         OBS_SEARCHES.add(queries.len() as u64);
         let Some(entry0) = self.entry else {
             return queries.iter().map(|_| Vec::new()).collect();
         };
-        let prepared: Vec<Vec<f32>> = queries
-            .iter()
-            .map(|q| {
-                let mut p = q.clone();
-                self.metric.prepare(&mut p);
-                p
-            })
-            .collect();
-        let quantized: Option<Vec<(Vec<i8>, f32)>> = self.quant.as_ref().map(|_| {
-            prepared
-                .iter()
-                .map(|p| {
-                    self.metric.quantize(p).expect("quantized index requires a quantizing metric")
-                })
-                .collect()
-        });
-        // One ADC table per query, built up front and shared by every
-        // lock-step round (and the upper-layer descents) of the whole
-        // micro-batch.
-        let pq_store = self.pq_ready();
-        let tables: Option<Vec<PqTable>> =
-            pq_store.map(|pq| prepared.iter().map(|p| pq.table(p)).collect());
-        let dist_for = |qi: usize, id: usize| -> f32 {
-            if let (Some(pq), Some(tables)) = (pq_store, &tables) {
-                return tables[qi].distance(pq.row(id));
-            }
-            match (&self.quant, &quantized) {
-                (Some(store), Some(q)) => {
-                    let (codes, scale) = store.row(id);
-                    self.metric.quantized_distance(&q[qi].0, q[qi].1, codes, scale)
-                }
-                _ => self.dist(id, &prepared[qi]),
-            }
-        };
         let ef0 = self.beam_width(k, ef);
         let top_level = self.nodes[entry0].level();
+        let walk = |qd: &dyn Fn(usize) -> f32, distn: &mut dyn FnMut(&[usize], &mut Vec<f32>)| {
+            let mut entry = entry0;
+            for layer in (1..=top_level).rev() {
+                entry = self.greedy_step_with(qd, entry, layer);
+            }
+            self.search_layer0_blocked(qd, distn, entry, ef0)
+        };
 
-        // Quantized tiers: walk the queries one after another, each through
-        // the row-blocked layer-0 walk. Their code stores are small enough
-        // to stay cache-resident, so there is no memory traffic for
-        // lock-stepped queries to share — and lock-stepping actively hurts
-        // the PQ tier, whose per-query 8 KB ADC tables would thrash L1 if
-        // interleaved. Per-query blocking keeps one query's table (and int8
-        // codes) hot while the quad-row kernels deliver the batch speedup.
-        if self.quant.is_some() || pq_store.is_some() {
-            let mut sums: Vec<u32> = Vec::new();
-            let mut idots: Vec<i32> = Vec::new();
-            let mut probes = 0u64;
-            let mut out = Vec::with_capacity(queries.len());
-            for qi in 0..queries.len() {
-                let mut entry = entry0;
-                for layer in (1..=top_level).rev() {
-                    entry = self.greedy_step_with(&|id| dist_for(qi, id), entry, layer);
-                }
-                let (found, p) = if let (Some(pq), Some(tables)) = (pq_store, &tables) {
-                    let mut distn = |rows: &[usize], dv: &mut Vec<f32>| {
-                        tables[qi].distance_rows(pq.flat(), rows, &mut sums, dv)
-                    };
-                    self.search_layer0_blocked(&|id| dist_for(qi, id), &mut distn, entry, ef0)
-                } else {
-                    let store = self.quant.as_ref().expect("int8 tier");
-                    let q = quantized.as_ref().expect("int8 tier");
-                    let (codes, scales) = store.flat();
-                    let mut distn = |rows: &[usize], dv: &mut Vec<f32>| {
-                        self.metric.quantized_distance_rows(
-                            &q[qi].0, q[qi].1, codes, scales, rows, &mut idots, dv,
-                        )
-                    };
-                    self.search_layer0_blocked(&|id| dist_for(qi, id), &mut distn, entry, ef0)
-                };
-                probes += p;
-                out.push(self.rerank_exact(&prepared[qi], found, k));
-            }
-            OBS_PROBES.add(probes);
-            if pq_store.is_some() {
-                OBS_PQ.add(probes);
-            } else {
-                OBS_QUANTIZED.add(probes);
-            }
-            return out;
-        }
-
-        // f32 tier: upper-layer descent per query, then a layer-0 beam
-        // primed exactly like `search_layer`'s prologue, advanced in
-        // lock-step rounds that share packed panels.
-        let mut beams: Vec<Beam> = (0..queries.len())
-            .map(|qi| {
-                let mut entry = entry0;
-                for layer in (1..=top_level).rev() {
-                    entry = self.greedy_step_with(&|id| dist_for(qi, id), entry, layer);
-                }
-                let mut visited = vec![false; self.nodes.len()];
-                visited[entry] = true;
-                let entry_cand = Candidate { distance: dist_for(qi, entry), id: entry };
-                let mut candidates = BinaryHeap::new();
-                candidates.push(std::cmp::Reverse(entry_cand));
-                let mut results = BinaryHeap::new();
-                results.push(entry_cand);
-                Beam { candidates, results, visited, active: true, probes: 1 }
-            })
-            .collect();
-
-        // Shared-node neighbor rows are packed into panels: a scratch panel
-        // per group plus an append-only arena of packed *full-adjacency*
-        // panels. A full panel is cached the first time a group needs every
-        // row of a node's adjacency and reused — zero packing cost, zero
-        // wasted rows — by any later round (including lone beams) whose
-        // needed rows are again the full adjacency. Partially-needed panels
-        // are never cached: probing a stale full panel would compute
-        // distances for rows every beam has already visited, which costs
-        // more than the packing it saves.
-        let mut panel_f32: Vec<f32> = Vec::new();
-        let mut arena_f32: Vec<f32> = Vec::new();
-        let mut arena_rows: HashMap<usize, usize> = HashMap::new();
-        let mut next_arena_row = 0usize;
-        let mut dvec: Vec<f32> = Vec::new();
-        let mut sub: Vec<usize> = Vec::new();
-        // Expansions of one round as (node, query) pairs; sorted, equal-node
-        // runs form the groups. Reused across rounds — no per-round allocs.
-        let mut expansions: Vec<(usize, usize)> = Vec::new();
-        // Below this many panel rows a pack + block call costs more than it
-        // saves; probe lazily instead. Size-based only, so deterministic.
-        const MIN_PANEL_ROWS: usize = 8;
-        loop {
-            // Each active beam pops one expansion; group them by node id.
-            // A beam contributes at most one expansion per round, so group
-            // processing order cannot affect any single beam's trajectory.
-            expansions.clear();
-            for (qi, beam) in beams.iter_mut().enumerate() {
-                if !beam.active {
-                    continue;
-                }
-                match beam.candidates.pop() {
-                    None => beam.active = false,
-                    Some(std::cmp::Reverse(current)) => {
-                        let worst = beam.results.peek().expect("results never empty").distance;
-                        if current.distance > worst && beam.results.len() >= ef0 {
-                            beam.active = false;
-                        } else {
-                            expansions.push((current.id, qi));
-                        }
-                    }
-                }
-            }
-            if expansions.is_empty() {
-                break;
-            }
-            // Pairs are unique (one pop per beam), so the unstable sort is a
-            // deterministic total order: ascending node, then query.
-            expansions.sort_unstable();
-            let mut start = 0;
-            while start < expansions.len() {
-                let node = expansions[start].0;
-                let mut end = start + 1;
-                while end < expansions.len() && expansions[end].0 == node {
-                    end += 1;
-                }
-                let group = &expansions[start..end];
-                start = end;
-                let neighbors = self.nodes[node].neighbors[0].as_slice();
-                if neighbors.is_empty() {
-                    continue;
-                }
-                // Lone beam: the sequential inner loop verbatim — no row
-                // collection, no pack, no block call — unless the arena
-                // already holds this node's packed panel (then the block
-                // kernel is worth probing even a single query with). Every
-                // branch condition depends only on sizes and the —
-                // deterministic — expansion history, so the per-row
-                // arithmetic path is identical on every run.
-                if group.len() == 1 && !arena_rows.contains_key(&node) {
-                    let qi = group[0].1;
-                    let beam = &mut beams[qi];
-                    for &next in neighbors {
-                        if beam.visited[next] {
-                            continue;
-                        }
-                        beam.visited[next] = true;
-                        beam.probes += 1;
-                        let d = dist_for(qi, next);
-                        beam.offer(d, next, ef0);
-                    }
-                    continue;
-                }
-                // The rows at least one grouped beam still needs, in
-                // adjacency order — converged beams have visited most
-                // neighbors already, so this stays tight.
-                sub.clear();
-                sub.extend(
-                    neighbors
-                        .iter()
-                        .copied()
-                        .filter(|&next| group.iter().any(|&(_, qi)| !beams[qi].visited[next])),
-                );
-                if sub.is_empty() {
-                    continue;
-                }
-                // f32 tier: pack the needed rows once (or fetch the node's
-                // cached full panel), then probe with one block-kernel call
-                // per grouped query. `absorb_block` skips each beam's own
-                // visited rows, so trajectories stay sequential-exact. Lazy
-                // when the rows are too few to amortize a pack + block
-                // call, or when a lone beam expands a node whose full panel
-                // is not already in the arena (packing for one consumer is
-                // pure overhead).
-                let full = sub.len() == neighbors.len();
-                let cached = if full { arena_rows.get(&node).copied() } else { None };
-                if sub.len() < MIN_PANEL_ROWS || (group.len() == 1 && cached.is_none()) {
-                    for &(_, qi) in group {
-                        let beam = &mut beams[qi];
-                        for &next in &sub {
-                            if beam.visited[next] {
-                                continue;
-                            }
-                            beam.visited[next] = true;
-                            beam.probes += 1;
-                            let d = dist_for(qi, next);
-                            beam.offer(d, next, ef0);
-                        }
-                    }
-                    continue;
-                }
-                let rows = sub.len();
-                // A full panel enters the arena on first pack so later
-                // rounds reuse it for free; partial panels live in scratch.
-                let row0 = match (full, cached) {
-                    (true, Some(row0)) => Some(row0),
-                    (true, None) => {
-                        arena_rows.insert(node, next_arena_row);
-                        next_arena_row += rows;
-                        None
-                    }
-                    (false, _) => None,
-                };
-                let panel: &[f32] = match row0 {
-                    Some(row0) => &arena_f32[row0 * self.dim..(row0 + rows) * self.dim],
-                    None if full => {
-                        let at = arena_f32.len();
-                        for &next in &sub {
-                            arena_f32.extend_from_slice(&self.vectors[next]);
-                        }
-                        &arena_f32[at..]
-                    }
-                    None => {
-                        panel_f32.clear();
-                        for &next in &sub {
-                            panel_f32.extend_from_slice(&self.vectors[next]);
-                        }
-                        &panel_f32
-                    }
-                };
-                dvec.resize(rows, 0.0);
-                for &(_, qi) in group {
-                    self.metric.prepared_distance_block(&prepared[qi], panel, &mut dvec);
-                    beams[qi].absorb_block(&sub, &dvec, ef0);
-                }
-            }
-        }
-
+        // The queries walk one after another: a quantized store is small
+        // enough to stay cache-resident, and one query's ADC table (or int8
+        // codes) stays hot while the quad-row kernels probe its rows.
+        let mut sums: Vec<u32> = Vec::new();
+        let mut idots: Vec<i32> = Vec::new();
         let mut probes = 0u64;
-        let out = beams
-            .into_iter()
-            .map(|beam| {
-                probes += beam.probes;
-                let mut found = beam.results.into_vec();
-                found.sort();
-                found
-                    .into_iter()
-                    .take(k)
-                    .map(|c| Neighbor { id: c.id, distance: c.distance })
-                    .collect()
-            })
-            .collect();
+        let mut out = Vec::with_capacity(queries.len());
+        for q in queries {
+            let mut query = q.clone();
+            self.metric.prepare(&mut query);
+            let (found, p) = if let Some(pq) = pq_store {
+                let table = pq.table(&query);
+                let mut distn = |rows: &[usize], dv: &mut Vec<f32>| {
+                    table.distance_rows(pq.flat(), rows, &mut sums, dv)
+                };
+                walk(&|id| table.distance(pq.row(id)), &mut distn)
+            } else {
+                let store = self.quant.as_ref().expect("int8 tier");
+                let (qcodes, qscale) = self
+                    .metric
+                    .quantize(&query)
+                    .expect("quantized index requires a quantizing metric");
+                let qd = |id: usize| {
+                    let (codes, scale) = store.row(id);
+                    self.metric.quantized_distance(&qcodes, qscale, codes, scale)
+                };
+                let (codes, scales) = store.flat();
+                let mut distn = |rows: &[usize], dv: &mut Vec<f32>| {
+                    self.metric.quantized_distance_rows(
+                        &qcodes, qscale, codes, scales, rows, &mut idots, dv,
+                    )
+                };
+                walk(&qd, &mut distn)
+            };
+            probes += p;
+            out.push(self.rerank_exact(&query, found, k));
+        }
         OBS_PROBES.add(probes);
+        if pq_store.is_some() {
+            OBS_PQ.add(probes);
+        } else {
+            OBS_QUANTIZED.add(probes);
+        }
         out
     }
 
@@ -1153,60 +887,12 @@ impl<M: Metric> Hnsw<M> {
         self.search(query, ef, ef).into_iter().filter(|n| n.distance <= radius).collect()
     }
 
-    /// Captures the index state for persistence. The metric is not part of
-    /// the snapshot — supply the same one to [`Hnsw::from_snapshot`].
-    pub fn snapshot(&self) -> HnswSnapshot {
-        HnswSnapshot {
-            config: self.config.clone(),
-            vectors: self.vectors.clone(),
-            norms: self.norms.clone(),
-            nodes: self.nodes.clone(),
-            entry: self.entry,
-            removed: (0..self.nodes.len()).filter(|&i| self.dead[i]).collect(),
-        }
-    }
-
-    /// Restores an index from a snapshot. Searches reproduce exactly;
-    /// *future inserts* draw levels from a reseeded RNG (seed ⊕ node count),
-    /// so an index that keeps growing after a reload follows a different —
-    /// but equally valid — level sequence than one that never stopped.
-    pub fn from_snapshot(snapshot: HnswSnapshot, metric: M) -> Self {
-        let level_norm = 1.0 / (snapshot.config.m as f64).ln();
-        let rng = StdRng::seed_from_u64(
-            snapshot.config.seed ^ (snapshot.nodes.len() as u64).rotate_left(21),
-        );
-        let mut dead = vec![false; snapshot.nodes.len()];
-        for &id in &snapshot.removed {
-            dead[id] = true;
-        }
-        let live = snapshot.nodes.len() - snapshot.removed.len();
-        // Removed slots store empty vectors, so the dimension comes from the
-        // first live row (0 when none are left — relocked at next insert).
-        let dim = snapshot.vectors.iter().find(|v| !v.is_empty()).map_or(0, |v| v.len());
-        Hnsw {
-            config: snapshot.config,
-            metric,
-            vectors: snapshot.vectors,
-            norms: snapshot.norms,
-            nodes: snapshot.nodes,
-            entry: snapshot.entry,
-            rng,
-            level_norm,
-            dim,
-            dead,
-            live,
-            quant: None,
-            pq: None,
-        }
-    }
-
     /// Serializes the complete index state — graph, vectors, removed-id
     /// set, int8/PQ code stores — to a compact binary blob for the
     /// persistence layer.
     ///
-    /// Unlike [`Hnsw::snapshot`], a dump carries the quantized tiers
-    /// verbatim and preserves RNG continuity: the level RNG draws exactly
-    /// one `f64` per stored vector (ids are positional and never reused),
+    /// A dump preserves RNG continuity: the level RNG draws exactly one
+    /// `f64` per stored vector (ids are positional and never reused),
     /// so [`Hnsw::load`] reseeds from `config.seed` and fast-forwards
     /// `len()` draws. A loaded index therefore not only probes
     /// bit-identically to the never-closed one — its *future inserts* draw
@@ -1290,123 +976,123 @@ impl<M: Metric> Hnsw<M> {
     /// Restores an index from [`Hnsw::dump`] bytes. The metric is not part
     /// of the dump — supply the same one that built the index.
     ///
-    /// Errors describe the first structural problem found (bad magic,
-    /// truncated buffer, out-of-range id, shape mismatch); the caller
-    /// (`pas-store`) guards the bytes with a CRC, so an error here means
-    /// the snapshot file lied about its own integrity.
+    /// The bytes are treated as hostile. Every length is checked against
+    /// the bytes left before anything is allocated for it, and every
+    /// invariant a search relies on is validated, so bytes that `load`
+    /// accepts search without panicking and dump back unchanged. Errors
+    /// describe the first problem found (bad magic, truncated buffer,
+    /// out-of-range value, shape mismatch, broken graph invariant).
     pub fn load(bytes: &[u8], metric: M) -> Result<Self, String> {
         let mut r = wire::Reader::new(bytes);
         if r.take(DUMP_MAGIC.len())? != DUMP_MAGIC {
             return Err("bad dump magic".into());
         }
-        let config =
-            HnswConfig { m: r.u64()? as usize, ef_construction: r.u64()? as usize, seed: r.u64()? };
-        if config.m < 2 || config.ef_construction == 0 {
+        let config = HnswConfig { m: r.usize()?, ef_construction: r.usize()?, seed: r.u64()? };
+        // `max_links` doubles `m`.
+        if config.m < 2 || config.m > usize::MAX / 2 || config.ef_construction == 0 {
             return Err("dump config out of range".into());
         }
-        let dim = r.u64()? as usize;
-        let n = r.u64()? as usize;
-        if n > bytes.len() {
-            return Err("dump node count exceeds buffer".into());
+        let dim = r.usize()?;
+        // Rows carry `u32` lengths, so no live row can be longer.
+        if dim > u32::MAX as usize {
+            return Err("dump dimension out of range".into());
         }
-        let entry = match r.u64()? {
-            u64::MAX => None,
-            e if (e as usize) < n => Some(e as usize),
-            _ => return Err("dump entry id out of range".into()),
-        };
-        let live = r.u64()? as usize;
-        let mut norms = Vec::with_capacity(n);
-        for _ in 0..n {
-            norms.push(r.f32()?);
-        }
-        let mut dead = Vec::with_capacity(n);
-        for _ in 0..n {
-            dead.push(r.u8()? != 0);
-        }
+        let n = r.usize()?;
+        let entry = r.u64()?;
+        let live = r.usize()?;
+        // Reading the norms bounds `n` by the buffer length, so the
+        // per-node allocations below are bounded too.
+        let norms = r.f32s(n)?;
+        let dead = r
+            .take(n)?
+            .iter()
+            .map(|&flag| match flag {
+                0 | 1 => Ok(flag == 1),
+                _ => Err("dump removed flag out of range".to_string()),
+            })
+            .collect::<Result<Vec<bool>, String>>()?;
         if dead.iter().filter(|&&d| !d).count() != live {
             return Err("dump live count mismatch".into());
         }
+        // The entry is live, and absent exactly when nothing is.
+        let entry = match entry {
+            u64::MAX if live == 0 => None,
+            e if live > 0 && e < n as u64 && !dead[e as usize] => Some(e as usize),
+            _ => return Err("dump entry point out of range".into()),
+        };
         let mut vectors = Vec::with_capacity(n);
-        for id in 0..n {
+        for (id, &removed) in dead.iter().enumerate() {
             let len = r.u32()? as usize;
-            if len != 0 && len != dim {
+            if len != if removed { 0 } else { dim } {
                 return Err(format!("dump vector {id} has wrong dimension"));
             }
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(r.f32()?);
-            }
-            vectors.push(v);
+            vectors.push(r.f32s(len)?);
         }
         let mut nodes = Vec::with_capacity(n);
         for _ in 0..n {
-            let layers = r.u32()? as usize;
+            let layers = r.u32()?;
             if layers == 0 {
                 return Err("dump node has no layers".into());
             }
-            let mut neighbors = Vec::with_capacity(layers);
+            let mut neighbors = Vec::new();
             for _ in 0..layers {
                 let cnt = r.u32()? as usize;
-                let mut layer = Vec::with_capacity(cnt);
-                for _ in 0..cnt {
-                    let peer = r.u32()? as usize;
-                    if peer >= n {
-                        return Err("dump neighbor id out of range".into());
-                    }
-                    layer.push(peer);
-                }
-                neighbors.push(layer);
+                neighbors.push(r.u32s(cnt)?.into_iter().map(|peer| peer as usize).collect());
             }
             nodes.push(Node { neighbors });
+        }
+        // The descent and the beam walk read `neighbors[l]` of every node
+        // they reach on layer `l` and probe its vector: every layer-`l`
+        // neighbor must be live and reach layer `l`.
+        for node in &nodes {
+            for (layer, peers) in node.neighbors.iter().enumerate() {
+                if peers.iter().any(|&p| p >= n || dead[p] || nodes[p].level() < layer) {
+                    return Err("dump neighbor breaks a graph invariant".into());
+                }
+            }
         }
         let mut quant = None;
         let mut pq = None;
         match r.u8()? {
             0 => {}
             1 => {
-                let qdim = r.u64()? as usize;
-                let rows = r.u64()? as usize;
-                if rows != n {
-                    return Err("dump int8 row count mismatch".into());
+                let qdim = r.usize()?;
+                let rows = r.usize()?;
+                if qdim != dim || rows != n {
+                    return Err("dump int8 shape mismatch".into());
                 }
-                let codes: Vec<i8> = r.take(rows * qdim)?.iter().map(|&b| b as i8).collect();
-                let mut scales = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    scales.push(r.f32()?);
+                if metric.quantize(&[]).is_none() {
+                    return Err("dump int8 tier needs a quantizing metric".into());
                 }
-                quant = Some(QuantStore::from_parts(qdim, codes, scales));
+                let codes = r.array(rows, qdim)?.iter().map(|&b| b as i8).collect();
+                quant = Some(QuantStore::from_parts(qdim, codes, r.f32s(rows)?));
             }
             2 => {
-                let cfg = PqConfig {
-                    train_cap: r.u64()? as usize,
-                    max_iters: r.u64()? as usize,
-                    seed: r.u64()?,
-                };
-                let rows = r.u64()? as usize;
+                let cfg = PqConfig { train_cap: r.usize()?, max_iters: r.usize()?, seed: r.u64()? };
+                let rows = r.usize()?;
                 let codebook = match r.u8()? {
                     0 => None,
-                    _ => {
-                        let cdim = r.u64()? as usize;
-                        let sub = r.u64()? as usize;
-                        let m = r.u64()? as usize;
-                        let kc = r.u64()? as usize;
-                        let clen = r.u64()? as usize;
-                        if cdim != m.checked_mul(sub).ok_or("dump codebook overflow")? {
-                            return Err("dump codebook shape mismatch".into());
-                        }
-                        let mut centroids = Vec::with_capacity(clen);
-                        for _ in 0..clen {
-                            centroids.push(r.f32()?);
-                        }
-                        Some(PqCodebook::from_parts(cdim, sub, m, kc, centroids))
+                    1 => {
+                        let cdim = r.usize()?;
+                        let sub = r.usize()?;
+                        let m = r.usize()?;
+                        let kc = r.usize()?;
+                        let clen = r.usize()?;
+                        Some(PqCodebook::from_parts(cdim, sub, m, kc, r.f32s(clen)?)?)
                     }
+                    _ => return Err("dump codebook flag out of range".into()),
                 };
-                let clen = r.u64()? as usize;
-                let codes = r.take(clen)?.to_vec();
-                if rows != 0 && rows != n {
-                    return Err("dump PQ row count mismatch".into());
+                // A trained store holds one code row per id; an untrained
+                // one holds none.
+                let shape_ok = match &codebook {
+                    Some(cb) => cb.dim() == dim && rows == n,
+                    None => rows == 0,
+                };
+                if !shape_ok {
+                    return Err("dump PQ shape mismatch".into());
                 }
-                pq = Some(PqStore::from_parts(cfg, codebook, codes, rows));
+                let clen = r.usize()?;
+                pq = Some(PqStore::from_parts(cfg, codebook, r.take(clen)?.to_vec(), rows)?);
             }
             _ => return Err("dump has unknown tier tag".into()),
         }
@@ -1490,29 +1176,33 @@ mod wire {
             Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
         }
 
-        pub fn f32(&mut self) -> Result<f32, String> {
-            Ok(f32::from_bits(self.u32()?))
+        pub fn usize(&mut self) -> Result<usize, String> {
+            usize::try_from(self.u64()?).map_err(|_| "dump value exceeds usize".to_string())
+        }
+
+        /// `count` items of `width` bytes each. The bytes must all be there
+        /// before a caller allocates anything for the items, so a hostile
+        /// count fails as a truncation, never as a huge allocation.
+        pub fn array(&mut self, count: usize, width: usize) -> Result<&'a [u8], String> {
+            self.take(count.checked_mul(width).ok_or("dump length overflows")?)
+        }
+
+        pub fn u32s(&mut self, count: usize) -> Result<Vec<u32>, String> {
+            let bytes = self.array(count, 4)?;
+            Ok(bytes
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(b.try_into().expect("4")))
+                .collect())
+        }
+
+        pub fn f32s(&mut self, count: usize) -> Result<Vec<f32>, String> {
+            Ok(self.u32s(count)?.into_iter().map(f32::from_bits).collect())
         }
 
         pub fn is_empty(&self) -> bool {
             self.pos == self.buf.len()
         }
     }
-}
-
-/// Serializable state of an [`Hnsw`] index: graph, prepared vectors and
-/// their original norms, entry point, removed ids. The quantized codes are
-/// not part of the snapshot — re-enable with [`Hnsw::set_quantization`]
-/// after restore (requantization is deterministic, so the codes come back
-/// bit-identical).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HnswSnapshot {
-    config: HnswConfig,
-    vectors: Vec<Vec<f32>>,
-    norms: Vec<f32>,
-    nodes: Vec<Node>,
-    entry: Option<usize>,
-    removed: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -1616,37 +1306,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_searches() {
+    fn euclidean_dump_load_round_trip_preserves_searches() {
         let vecs = random_vectors(120, 8, 17);
         let mut idx = Hnsw::new(HnswConfig::default(), EuclideanDistance);
         for v in &vecs {
             idx.insert(v.clone());
         }
-        let json = serde_json::to_string(&idx.snapshot()).unwrap();
-        let snapshot: HnswSnapshot = serde_json::from_str(&json).unwrap();
-        let restored = Hnsw::from_snapshot(snapshot, EuclideanDistance);
+        let restored = Hnsw::load(&idx.dump(), EuclideanDistance).unwrap();
         for q in vecs.iter().step_by(13) {
-            let a: Vec<usize> = idx.search(q, 5, 32).into_iter().map(|n| n.id).collect();
-            let b: Vec<usize> = restored.search(q, 5, 32).into_iter().map(|n| n.id).collect();
-            assert_eq!(a, b);
+            assert_eq!(
+                ids_and_bits(&idx.search(q, 5, 32)),
+                ids_and_bits(&restored.search(q, 5, 32))
+            );
         }
         assert_eq!(restored.len(), idx.len());
-    }
-
-    #[test]
-    fn restored_index_accepts_new_inserts() {
-        let vecs = random_vectors(60, 4, 19);
-        let mut idx = Hnsw::new(HnswConfig::default(), EuclideanDistance);
-        for v in &vecs {
-            idx.insert(v.clone());
-        }
-        let mut restored = Hnsw::from_snapshot(idx.snapshot(), EuclideanDistance);
-        let new_point = vec![9.0, 9.0, 9.0, 9.0];
-        let id = restored.insert(new_point.clone());
-        assert_eq!(id, 60);
-        let hit = &restored.search(&new_point, 1, 32)[0];
-        assert_eq!(hit.id, 60);
-        assert!(hit.distance < 1e-5);
     }
 
     #[test]
@@ -1671,7 +1344,7 @@ mod tests {
             pas_par::with_threads(threads, || {
                 let mut idx = Hnsw::new(HnswConfig::default(), EuclideanDistance);
                 idx.build_batch(vecs.clone());
-                let snap = serde_json::to_string(&idx.snapshot()).unwrap();
+                let snap = idx.dump();
                 let probes: Vec<Vec<usize>> = vecs
                     .iter()
                     .step_by(17)
@@ -1824,7 +1497,7 @@ mod tests {
         let (mut idx, vecs) = cosine_index(250, 16, 53);
         let queries: Vec<Vec<f32>> = random_vectors(9, 16, 202)
             .into_iter()
-            .chain([vecs[3].clone(), vecs[3].clone()]) // duplicates share panels
+            .chain([vecs[3].clone(), vecs[3].clone()]) // duplicate queries
             .collect();
         for tier in ["f32", "int8", "pq"] {
             match tier {
@@ -1837,7 +1510,7 @@ mod tests {
             let batched: Vec<_> =
                 idx.search_batch(&queries, 6, 40).iter().map(|hits| ids_and_bits(hits)).collect();
             assert_eq!(sequential, batched, "tier={tier}");
-            // Single-query batches stay equal too (all-lazy path).
+            // Single-query batches stay equal too.
             let lone = idx.search_batch(&queries[..1], 6, 40);
             assert_eq!(ids_and_bits(&lone[0]), sequential[0], "tier={tier} single-query");
         }
@@ -1988,14 +1661,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_survives_snapshot_round_trip() {
+    fn remove_survives_dump_load_round_trip() {
         let (mut idx, vecs) = cosine_index(120, 8, 67);
         for id in (0..120).step_by(3) {
             idx.remove(id);
         }
-        let json = serde_json::to_string(&idx.snapshot()).unwrap();
-        let snapshot: HnswSnapshot = serde_json::from_str(&json).unwrap();
-        let mut restored = Hnsw::from_snapshot(snapshot, CosineDistance);
+        let mut restored = Hnsw::load(&idx.dump(), CosineDistance).unwrap();
         assert_eq!(restored.live_len(), idx.live_len());
         restored.set_quantization(true);
         for q in vecs.iter().step_by(11) {
@@ -2082,5 +1753,87 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(Hnsw::<CosineDistance>::load(&trailing, CosineDistance).is_err());
+    }
+
+    #[test]
+    fn load_rejects_crafted_dumps() {
+        // Dump layout: magic, then m, ef_construction, seed, dim, n, entry
+        // and live as u64s, then n norms, n removed flags, and the rows.
+        const DIM_AT: usize = 32;
+        let rows_at = |n: usize| 64 + 5 * n;
+        let (mut idx, _vecs) = cosine_index(16, 8, 89);
+        let n = idx.len();
+
+        // A row length of u32::MAX, with dim to match, would ask for 16 GiB.
+        let mut huge = idx.dump();
+        huge[DIM_AT..DIM_AT + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        huge[rows_at(n)..rows_at(n) + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Hnsw::load(&huge, CosineDistance).is_err());
+
+        // An int8 row width whose product with the 16 rows wraps around to
+        // the true code length.
+        idx.set_quantization(true);
+        let mut wrap = idx.dump();
+        let qdim_at = wrap.len() - 4 * n - 8 * n - 16;
+        let qdim = 8 + (1u64 << 60);
+        assert_eq!((n as u64).wrapping_mul(qdim), 8 * n as u64);
+        wrap[qdim_at..qdim_at + 8].copy_from_slice(&qdim.to_le_bytes());
+        assert!(Hnsw::load(&wrap, CosineDistance).is_err());
+        // A sound int8 dump still needs a metric that can quantize queries.
+        assert!(Hnsw::load(&idx.dump(), EuclideanDistance).is_err());
+
+        // The entry's layer-1 list names a level-0 node.
+        let (mut idx, _vecs) = cosine_index(200, 8, 59);
+        let entry = idx.entry.unwrap();
+        let low = (0..idx.len()).find(|&id| idx.nodes[id].level() == 0).unwrap();
+        assert!(idx.nodes[entry].level() >= 1);
+        idx.nodes[entry].neighbors[1].push(low);
+        assert!(Hnsw::load(&idx.dump(), CosineDistance).is_err());
+        // Or a layer-0 list names a removed node.
+        idx.nodes[entry].neighbors[1].pop();
+        let peer = idx.nodes[low].neighbors[0][0];
+        idx.remove(peer);
+        idx.nodes[low].neighbors[0].push(peer);
+        assert!(Hnsw::load(&idx.dump(), CosineDistance).is_err());
+    }
+
+    #[test]
+    fn load_survives_mutated_dumps() {
+        const MUTATIONS: usize = 1500;
+        let mut rng = StdRng::seed_from_u64(0xb17f);
+        let vecs = random_vectors(PQ_TRAIN_MIN + 6, 8, 97);
+        for tier in ["f32", "int8", "pq", "untrained pq"] {
+            let mut idx = Hnsw::new(HnswConfig::default(), CosineDistance);
+            let rows = if tier == "untrained pq" { 10 } else { vecs.len() };
+            idx.build_batch(vecs[..rows].to_vec());
+            match tier {
+                "int8" => idx.set_quantization(true),
+                "f32" => {}
+                _ => idx.set_product_quantization(true),
+            }
+            for id in (0..rows).step_by(9) {
+                idx.remove(id);
+            }
+            let valid = idx.dump();
+            for _ in 0..MUTATIONS {
+                let mut bytes = valid.clone();
+                let at = rng.random_range(0..bytes.len());
+                let end = (at + rng.random_range(1..9)).min(bytes.len());
+                match rng.random_range(0..4) {
+                    0 => bytes[at] ^= 1 << rng.random_range(0..8),
+                    1 => bytes[at..end].iter_mut().for_each(|b| *b = !*b),
+                    2 => bytes[at..end].fill(0),
+                    _ => bytes.truncate(at),
+                }
+                let Ok(loaded) = Hnsw::load(&bytes, CosineDistance) else {
+                    continue;
+                };
+                for q in vecs.iter().step_by(17) {
+                    loaded.search(q, 3, 16);
+                }
+                loaded.search_batch(&vecs[..3], 3, 16);
+                assert_eq!(loaded.dump(), bytes, "tier {tier}: accepted bytes must dump back");
+            }
+        }
     }
 }

@@ -123,19 +123,6 @@ impl QuantStore {
         (&self.codes, &self.scales)
     }
 
-    /// Gathers the code rows for `ids` into caller-owned panel buffers
-    /// (cleared first). For the batched HNSW expansions, whose neighbor ids
-    /// are not contiguous.
-    pub fn gather(&self, ids: &[usize], panel: &mut Vec<i8>, scales: &mut Vec<f32>) {
-        panel.clear();
-        scales.clear();
-        for &id in ids {
-            let (codes, scale) = self.row(id);
-            panel.extend_from_slice(codes);
-            scales.push(scale);
-        }
-    }
-
     /// Probe-path bytes per stored vector (codes + scale) — what a
     /// traversal actually touches, vs `4·dim` for f32 rows.
     pub fn bytes_per_vector(&self) -> usize {
@@ -283,21 +270,25 @@ impl PqCodebook {
         (self.dim, self.sub, self.m, self.kc, &self.centroids)
     }
 
-    /// Rebuilds a codebook from dumped parts.
-    ///
-    /// # Panics
-    /// Panics when the panel shape is inconsistent with `(m, sub)`.
+    /// Rebuilds a codebook from dumped parts, rejecting a shape training
+    /// cannot produce.
     pub(crate) fn from_parts(
         dim: usize,
         sub: usize,
         m: usize,
         kc: usize,
         centroids: Vec<f32>,
-    ) -> PqCodebook {
-        assert_eq!(dim, m * sub, "codebook dim mismatch");
-        assert_eq!(centroids.len(), m * PQ_KC * sub, "codebook panel shape mismatch");
-        assert!(kc <= PQ_KC, "codebook kc out of range");
-        PqCodebook { dim, sub, m, kc, centroids }
+    ) -> Result<PqCodebook, String> {
+        if sub == 0 || m.checked_mul(sub) != Some(dim) {
+            return Err("dump codebook dim mismatch".into());
+        }
+        if dim.checked_mul(PQ_KC) != Some(centroids.len()) {
+            return Err("dump codebook panel shape mismatch".into());
+        }
+        if !(1..=PQ_KC).contains(&kc) {
+            return Err("dump codebook kc out of range".into());
+        }
+        Ok(PqCodebook { dim, sub, m, kc, centroids })
     }
 
     /// Encodes a vector as `m` centroid ids (per-subspace nearest centroid,
@@ -514,15 +505,6 @@ impl PqStore {
         &self.codes
     }
 
-    /// Gathers the code rows for `ids` into a caller-owned panel buffer
-    /// (cleared first), for the batched HNSW expansions.
-    pub fn gather(&self, ids: &[usize], panel: &mut Vec<u8>) {
-        panel.clear();
-        for &id in ids {
-            panel.extend_from_slice(self.row(id));
-        }
-    }
-
     /// Builds the ADC table for `query`.
     ///
     /// # Panics
@@ -536,20 +518,23 @@ impl PqStore {
         (&self.cfg, self.codebook.as_ref(), &self.codes, self.rows)
     }
 
-    /// Rebuilds a store from dumped parts.
-    ///
-    /// # Panics
-    /// Panics when the code length is not `rows * m` (or non-empty while
-    /// untrained).
+    /// Rebuilds a store from dumped parts, rejecting codes that are not
+    /// `rows * m` long (empty while untrained) or that name an untrained
+    /// centroid.
     pub(crate) fn from_parts(
         cfg: PqConfig,
         codebook: Option<PqCodebook>,
         codes: Vec<u8>,
         rows: usize,
-    ) -> PqStore {
-        let m = codebook.as_ref().map_or(0, |cb| cb.m);
-        assert_eq!(codes.len(), rows * m, "PQ parts shape mismatch");
-        PqStore { cfg, codebook, codes, rows }
+    ) -> Result<PqStore, String> {
+        let (m, kc) = codebook.as_ref().map_or((0, 0), |cb| (cb.m, cb.kc));
+        if rows.checked_mul(m) != Some(codes.len()) {
+            return Err("dump PQ codes shape mismatch".into());
+        }
+        if codes.iter().any(|&c| c as usize >= kc) {
+            return Err("dump PQ code out of range".into());
+        }
+        Ok(PqStore { cfg, codebook, codes, rows })
     }
 }
 
@@ -582,11 +567,6 @@ mod tests {
         let (panel, scales) = store.rows(1, 4);
         assert_eq!(panel.len(), 3 * 16);
         assert_eq!(scales.len(), 3);
-        let mut gathered = Vec::new();
-        let mut gscales = Vec::new();
-        store.gather(&[4, 0, 2], &mut gathered, &mut gscales);
-        assert_eq!(&gathered[..16], store.row(4).0);
-        assert_eq!(gscales[1].to_bits(), store.row(0).1.to_bits());
     }
 
     #[test]

@@ -21,10 +21,7 @@
 //! Membership changes are scripted, simulated-time events. A leave drains
 //! the node's queue (graceful decommission), then hands the keys it
 //! *primaries* to their new owners; a join pulls primaries over the same
-//! way. Hand-off travels through real `pas-store` segment logs when
-//! [`ClusterConfig::handoff_dir`] is set — written, closed, reopened, and
-//! replayed — and the resulting cluster state is identical to the
-//! in-memory path.
+//! way.
 //!
 //! Round 2 adds the replication plane, all riding the same heap:
 //!
@@ -53,7 +50,6 @@
 //! [`ClusterReport`] are bit-identical at any worker-thread count.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use pas_core::PromptOptimizer;
 use pas_fault::{MsgLane, NetFaultProfile, NetFaults};
@@ -61,7 +57,6 @@ use pas_gateway::{
     entry_hash, AdmissionPolicy, CacheOutcome, EventHeap, GatewayConfig, GatewayReport, Request,
     ServeOutcome, WorkloadConfig,
 };
-use pas_store::{Record, RecordMeta, SegmentLog, StoreConfig};
 
 use crate::gossip::{GossipTuning, NodeStatus};
 use crate::hrw;
@@ -85,10 +80,6 @@ static OBS_AE_DIGESTS: pas_obs::Counter = pas_obs::Counter::new("cluster.ae.dige
 static OBS_AE_REPAIRS: pas_obs::Counter = pas_obs::Counter::new("cluster.ae.repairs");
 static OBS_GOSSIP_HEARTBEATS: pas_obs::Counter = pas_obs::Counter::new("cluster.gossip.heartbeats");
 static OBS_GOSSIP_DEATHS: pas_obs::Counter = pas_obs::Counter::new("cluster.gossip.deaths");
-
-/// Fingerprint stamped on hand-off segment logs so a stray log from some
-/// other producer is rejected at open.
-const HANDOFF_FINGERPRINT: u64 = 0x4a0f_f10a_d0ff_0001;
 
 /// A scripted membership change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,10 +115,6 @@ pub struct ClusterConfig {
     pub start_dead: Vec<u32>,
     /// Scripted membership changes as `(at_ms, change)` pairs.
     pub script: Vec<(u64, Membership)>,
-    /// When set, rebalance hand-off is written to and replayed from
-    /// `pas-store` segment logs under this directory; when `None` the
-    /// same entries move in memory (identical resulting state).
-    pub handoff_dir: Option<PathBuf>,
     /// Fan cache installs out to the other HRW candidates so replicas
     /// serve warm after a leave or crash.
     pub repl_fanout: bool,
@@ -164,7 +151,6 @@ impl Default for ClusterConfig {
             rescue_ms: 40,
             start_dead: Vec::new(),
             script: Vec::new(),
-            handoff_dir: None,
             repl_fanout: true,
             ae_interval_ms: 0,
             gossip_interval_ms: 0,
@@ -415,7 +401,6 @@ impl<O: PromptOptimizer> Cluster<O> {
             msg_seq: [0; MsgLane::ALL.len()],
             responses: workloads.iter().map(|w| vec![None; w.len()]).collect(),
             stats: ClusterReport::default(),
-            handoff_changes: 0,
         };
         // Arrivals node-major: same-time ties fire lowest-node-first, a
         // pure function of the workloads.
@@ -515,7 +500,6 @@ struct Sim<'a, O: PromptOptimizer> {
     msg_seq: [u64; MsgLane::ALL.len()],
     responses: Vec<Vec<Option<String>>>,
     stats: ClusterReport,
-    handoff_changes: u64,
 }
 
 impl<O: PromptOptimizer> Sim<'_, O> {
@@ -1049,56 +1033,11 @@ impl<O: PromptOptimizer> Sim<'_, O> {
                 }
             }
         }
-        let change = self.handoff_changes;
-        self.handoff_changes += 1;
-        for ((src, dst), entries) in &moves {
-            let entries = match &self.cfg.handoff_dir {
-                // Real hand-off: the donor writes a segment log, the
-                // receiver reopens and replays it. Same bytes discipline
-                // as any pas-store producer; crash legs apply.
-                Some(dir) => {
-                    let path = dir.join(format!("change{change:03}-n{src}-to-n{dst}"));
-                    let sc =
-                        StoreConfig { fingerprint: HANDOFF_FINGERPRINT, ..StoreConfig::default() };
-                    let (mut log, existing) =
-                        SegmentLog::open(&path, sc.clone(), None).expect("handoff log open");
-                    assert!(existing.is_empty(), "handoff log must start fresh");
-                    for (i, (prompt, response, version)) in entries.iter().enumerate() {
-                        let record = Record::Meta {
-                            id: i as u64,
-                            meta: RecordMeta {
-                                category: "handoff".into(),
-                                degraded: false,
-                                stamp: i as u64,
-                                fields: vec![
-                                    ("p".into(), prompt.clone()),
-                                    ("r".into(), response.clone()),
-                                    ("v".into(), version.to_string()),
-                                ],
-                            },
-                        };
-                        log.append(&record).expect("handoff append");
-                    }
-                    drop(log);
-                    let (_, records) = SegmentLog::open(&path, sc, None).expect("handoff replay");
-                    records
-                        .iter()
-                        .filter_map(|rec| match rec {
-                            Record::Meta { meta, .. } => Some((
-                                meta.field("p")?.to_string(),
-                                meta.field("r")?.to_string(),
-                                meta.field("v").and_then(|v| v.parse().ok()).unwrap_or(1),
-                            )),
-                            _ => None,
-                        })
-                        .collect()
-                }
-                None => entries.clone(),
-            };
+        for ((src, dst), entries) in moves {
             for (i, (prompt, response, version)) in entries.into_iter().enumerate() {
                 let at = now + self.cfg.transfer_pace_ms * i as u64;
                 self.stats.transfers_sent += 1;
-                self.send(at, *src, *dst, Msg::Transfer { prompt, response, version });
+                self.send(at, src, dst, Msg::Transfer { prompt, response, version });
             }
         }
     }

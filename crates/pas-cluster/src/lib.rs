@@ -7,8 +7,7 @@
 //! - [`cluster`] — the fleet loop: cross-shard routing with hedged
 //!   requests, full-partition degradation to local passthrough, scripted
 //!   membership changes with *in-band* state hand-off (per-entry transfer
-//!   messages racing serving traffic, optionally round-tripped through
-//!   `pas-store` segment logs), replica write-fanout, and periodic
+//!   messages racing serving traffic), replica write-fanout, and periodic
 //!   anti-entropy repair, all over the seeded `pas_fault::NetFaults`
 //!   network with per-lane fault streams.
 //! - [`gossip`] — the seeded gossip failure detector: per-node membership

@@ -659,8 +659,7 @@ impl<E: Embedder> SemanticCache<E> {
     /// already counted these prompts when they arrived; this is the second
     /// chance an enqueued request gets after earlier batches completed and
     /// installed fresh complements. All near-tier probes of the batch run
-    /// through one [`Hnsw::search_batch`] call, sharing packed neighbor
-    /// panels across the queries. Hits refresh recency.
+    /// through one [`Hnsw::search_batch`] call. Hits refresh recency.
     pub fn lookup_batch(&mut self, prompts: &[&str]) -> Vec<Option<String>> {
         if self.config.capacity == 0 {
             return vec![None; prompts.len()];

@@ -96,7 +96,7 @@ fn full_pipeline_is_identical_at_1_and_8_threads() {
         pas_par::with_threads(threads, || {
             let mut idx = Hnsw::new(HnswConfig::default(), CosineDistance);
             idx.build_batch(vectors.clone());
-            let snapshot = serde_json::to_string(&idx.snapshot()).expect("snapshot json");
+            let dump = idx.dump();
             let norms: Vec<u32> = (0..idx.len()).map(|id| idx.norm(id).to_bits()).collect();
             let probes: Vec<Vec<(usize, u32)>> = vectors
                 .iter()
@@ -105,8 +105,8 @@ fn full_pipeline_is_identical_at_1_and_8_threads() {
                     idx.search(q, 5, 48).into_iter().map(|n| (n.id, n.distance.to_bits())).collect()
                 })
                 .collect();
-            // The int8 probe tier and the lock-step batched probes obey the
-            // same contract: quantized re-ranked results and `search_batch`
+            // The int8 probe tier and the batched probes obey the same
+            // contract: quantized re-ranked results and `search_batch`
             // results are bit-identical at any thread count.
             let mut quant = Hnsw::new(HnswConfig::default(), CosineDistance);
             quant.set_quantization(true);
@@ -147,7 +147,7 @@ fn full_pipeline_is_identical_at_1_and_8_threads() {
                 .into_iter()
                 .map(|r| r.into_iter().map(|n| (n.id, n.distance.to_bits())).collect())
                 .collect();
-            (snapshot, norms, probes, quant_probes, batched, pq_probes, pq_batched)
+            (dump, norms, probes, quant_probes, batched, pq_probes, pq_batched)
         })
     };
     let store_serial = build(1);
