@@ -978,8 +978,9 @@ impl<M: Metric> Hnsw<M> {
     ///
     /// The bytes are treated as hostile. Every length is checked against
     /// the bytes left before anything is allocated for it, and every
-    /// invariant a search relies on is validated, so bytes that `load`
-    /// accepts search without panicking and dump back unchanged. Errors
+    /// invariant a search or a [`Hnsw::remove`] relies on is validated, so
+    /// bytes that `load` accepts search without panicking and dump back
+    /// unchanged. Errors
     /// describe the first problem found (bad magic, truncated buffer,
     /// out-of-range value, shape mismatch, broken graph invariant).
     pub fn load(bytes: &[u8], metric: M) -> Result<Self, String> {
@@ -1043,10 +1044,12 @@ impl<M: Metric> Hnsw<M> {
         }
         // The descent and the beam walk read `neighbors[l]` of every node
         // they reach on layer `l` and probe its vector: every layer-`l`
-        // neighbor must be live and reach layer `l`.
-        for node in &nodes {
+        // neighbor must be live and reach layer `l`. `remove` links a node's
+        // peers to each other, so a node listing itself would leave a link
+        // to the removed node behind.
+        for (id, node) in nodes.iter().enumerate() {
             for (layer, peers) in node.neighbors.iter().enumerate() {
-                if peers.iter().any(|&p| p >= n || dead[p] || nodes[p].level() < layer) {
+                if peers.iter().any(|&p| p >= n || p == id || dead[p] || nodes[p].level() < layer) {
                     return Err("dump neighbor breaks a graph invariant".into());
                 }
             }
@@ -1794,6 +1797,12 @@ mod tests {
         let peer = idx.nodes[low].neighbors[0][0];
         idx.remove(peer);
         idx.nodes[low].neighbors[0].push(peer);
+        assert!(Hnsw::load(&idx.dump(), CosineDistance).is_err());
+        // Or a node lists itself, which `remove` would turn into its peers
+        // linking to the removed node.
+        idx.nodes[low].neighbors[0].pop();
+        assert!(Hnsw::load(&idx.dump(), CosineDistance).is_ok());
+        idx.nodes[low].neighbors[0].push(low);
         assert!(Hnsw::load(&idx.dump(), CosineDistance).is_err());
     }
 

@@ -92,7 +92,7 @@ impl Default for SemanticCacheConfig {
 pub enum OpenMode {
     /// Restore from the checkpoint snapshot when one matches the log head,
     /// then replay only the log suffix. Falls back to a full replay when
-    /// the checkpoint is missing, torn, or stale.
+    /// the checkpoint is missing, torn, stale, or fails any restore check.
     Warm,
     /// Ignore any checkpoint and replay the whole log, re-inserting the
     /// *logged* raw embeddings (no re-embedding).
@@ -282,9 +282,13 @@ impl<E: Embedder> SemanticCache<E> {
             if let Some(snap) = read_snapshot(dir, fingerprint)? {
                 // A checkpoint is only usable when it pins a prefix of the
                 // *current* generation; anything else (pre-compaction, or
-                // ahead of a log that lost a torn tail) replays cold.
-                if snap.generation == log.generation() && snap.op_count <= records.len() as u64 {
-                    cache.restore_snapshot(&snap.payload)?;
+                // ahead of a log that lost a torn tail) replays cold, as
+                // does one that fails a restore check: the log alone is
+                // the source of truth, so a bad checkpoint costs only time.
+                if snap.generation == log.generation()
+                    && snap.op_count <= records.len() as u64
+                    && cache.restore_snapshot(&snap.payload).is_ok()
+                {
                     start = snap.op_count as usize;
                 }
             }
@@ -416,6 +420,12 @@ impl<E: Embedder> SemanticCache<E> {
                 let response = meta.field(FIELD_RESPONSE).unwrap_or_default().to_string();
                 let version = meta.field(FIELD_VERSION).and_then(|v| v.parse().ok()).unwrap_or(1);
                 if self.config.tau > 0.0 {
+                    // The fingerprint does not cover the embedder, so a log
+                    // written by one of another width must be refused here,
+                    // before the index meets a row it cannot compare.
+                    if vector.len() != self.embedder.dim() {
+                        return Err(wire::corrupt("cache log: vector width"));
+                    }
                     let v = if reembed { self.embedder.embed(&prompt) } else { vector.clone() };
                     let got = self.index.insert(v);
                     debug_assert_eq!(got, id, "replayed ids must align with entries");
@@ -475,45 +485,73 @@ impl<E: Embedder> SemanticCache<E> {
         out
     }
 
-    /// Restores the state serialized by [`SemanticCache::snapshot_payload`].
+    /// Restores the state serialized by [`SemanticCache::snapshot_payload`],
+    /// decoding into locals and committing only a payload that passes every
+    /// check a later lookup or insert relies on (an `Err` leaves the cache
+    /// as it was):
+    /// - live prompts and stamps are unique and no stamp runs ahead of the
+    ///   clock, so the exact map and the LRU mirror each other;
+    /// - with the near tier on, the graph has one slot per entry, removed
+    ///   exactly where the entry is dead, and every live row is
+    ///   `embedder.dim()` wide. A graph with no live row cannot show its
+    ///   width, so a non-empty checkpoint without one is refused (its log
+    ///   holds no live entry and replays quickly); an empty one keeps the
+    ///   fresh index.
     fn restore_snapshot(&mut self, payload: &[u8]) -> io::Result<()> {
         let mut r = wire::Reader::new(payload);
         if r.take(SNAP_PAYLOAD_MAGIC.len())? != SNAP_PAYLOAD_MAGIC {
             return Err(wire::corrupt("cache snapshot: bad magic"));
         }
-        self.clock = r.u64()?;
+        let clock = r.u64()?;
         let n = r.u64()? as usize;
         if n > payload.len() {
             return Err(wire::corrupt("cache snapshot: entry count exceeds payload"));
         }
-        self.entries = Vec::with_capacity(n);
-        self.exact.clear();
-        self.lru.clear();
+        let mut entries = Vec::with_capacity(n);
+        let mut exact = HashMap::new();
+        let mut lru = std::collections::BTreeMap::new();
         for id in 0..n {
             let alive = r.u8()? != 0;
             let stamp = r.u64()?;
             let version = r.u64()?;
             let prompt = r.str()?;
             let response = r.str()?;
-            if alive {
-                self.exact.insert(prompt.clone(), id);
-                self.lru.insert(stamp, id);
+            if alive
+                && (stamp > clock
+                    || exact.insert(prompt.clone(), id).is_some()
+                    || lru.insert(stamp, id).is_some())
+            {
+                return Err(wire::corrupt("cache snapshot: live entries collide"));
             }
-            self.entries.push(Entry { prompt, response, alive, stamp, version });
+            entries.push(Entry { prompt, response, alive, stamp, version });
         }
         let dump_len = r.u64()? as usize;
         let dump = r.take(dump_len)?;
         if !r.is_empty() {
             return Err(wire::corrupt("cache snapshot: trailing bytes"));
         }
-        if self.config.tau > 0.0 {
-            self.index = Hnsw::load(dump, CosineDistance).map_err(|e| {
+        if self.config.tau > 0.0 && n > 0 {
+            let index = Hnsw::load(dump, CosineDistance).map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("pas-gateway: cache snapshot graph: {e}"),
                 )
             })?;
+            let dim = self.embedder.dim();
+            let aligned = index.len() == n
+                && !exact.is_empty()
+                && entries.iter().enumerate().all(|(id, e)| {
+                    index.is_removed(id) != e.alive && (!e.alive || index.vector(id).len() == dim)
+                });
+            if !aligned {
+                return Err(wire::corrupt("cache snapshot: graph/sidecar mismatch"));
+            }
+            self.index = index;
         }
+        self.clock = clock;
+        self.entries = entries;
+        self.exact = exact;
+        self.lru = lru;
         Ok(())
     }
 
@@ -1368,6 +1406,182 @@ mod tests {
             })
             .collect();
         assert_eq!(reopened, live, "replay of the compacted log must reproduce the live cache");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn near_config() -> SemanticCacheConfig {
+        SemanticCacheConfig { capacity: 8, tau: 0.3, ..SemanticCacheConfig::default() }
+    }
+
+    fn open_near(dir: &Path, mode: OpenMode) -> SemanticCache<NgramEmbedder> {
+        SemanticCache::open_from(near_config(), NgramEmbedder::default(), dir, mode)
+            .unwrap_or_else(|e| panic!("{mode:?} open: {e}"))
+    }
+
+    /// A persistent near-tier cache in a fresh `dir` holding `n` distinct
+    /// entries, checkpointed.
+    fn checkpointed(dir: &Path, n: usize) -> SemanticCache<NgramEmbedder> {
+        let mut c = open_near(dir, OpenMode::Replay);
+        for i in 0..n {
+            c.insert(&format!("prompt {i}"), &format!("resp {i}"));
+        }
+        c.persist_to(dir).unwrap();
+        c
+    }
+
+    /// Replaces the payload of the checkpoint in `dir`, keeping its log
+    /// position.
+    fn rewrite_checkpoint(dir: &Path, payload: Vec<u8>) {
+        let fingerprint = config_fingerprint(&near_config());
+        let snap = read_snapshot(dir, fingerprint).unwrap().expect("a checkpoint exists");
+        write_snapshot(dir, fingerprint, &SnapshotData { payload, ..snap }, None).unwrap();
+    }
+
+    fn owned_state(c: &SemanticCache<NgramEmbedder>) -> Vec<(String, String, u64)> {
+        c.live_entries_versioned()
+            .into_iter()
+            .map(|(p, r, v)| (p.to_string(), r.to_string(), v))
+            .collect()
+    }
+
+    #[test]
+    fn replay_refuses_a_logged_vector_of_the_wrong_width() {
+        let dir = tmp("narrow-vector");
+        drop(checkpointed(&dir, 3));
+        // A CRC-valid entry whose vector is 3 floats wide.
+        let fingerprint = config_fingerprint(&near_config());
+        let store_config = StoreConfig { fingerprint, ..StoreConfig::default() };
+        let (mut log, _) = SegmentLog::open(&dir, store_config, None).unwrap();
+        log.append(&Record::Meta { id: 3, meta: entry_meta("narrow", "r", 99, 1) }).unwrap();
+        log.append(&Record::Vector { id: 3, vector: vec![0.5; 3] }).unwrap();
+        drop(log);
+        for mode in [OpenMode::Warm, OpenMode::Replay, OpenMode::Reembed] {
+            let err = SemanticCache::open_from(near_config(), NgramEmbedder::default(), &dir, mode)
+                .err()
+                .expect("a narrow vector must refuse the log");
+            assert!(err.to_string().contains("vector width"), "{mode:?}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_embedder_of_another_width_refuses_the_log() {
+        let dir = tmp("narrow-embedder");
+        drop(checkpointed(&dir, 3));
+        for mode in [OpenMode::Warm, OpenMode::Replay] {
+            let narrow = NgramEmbedder::new(32, 0x5eed_cafe);
+            let err = SemanticCache::open_from(near_config(), narrow, &dir, mode)
+                .err()
+                .expect("a 32-wide embedder must refuse a 64-wide log");
+            assert!(err.to_string().contains("vector width"), "{mode:?}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_with_an_old_magic_replays_the_log() {
+        let dir = tmp("old-magic");
+        let c = checkpointed(&dir, 5);
+        let mut payload = c.snapshot_payload();
+        drop(c);
+        payload[..SNAP_PAYLOAD_MAGIC.len()].copy_from_slice(b"PASCSNP1");
+        rewrite_checkpoint(&dir, payload);
+        let replayed = owned_state(&open_near(&dir, OpenMode::Replay));
+        assert_eq!(replayed.len(), 5);
+        assert_eq!(owned_state(&open_near(&dir, OpenMode::Warm)), replayed);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Checkpoints an `entries`-entry cache, swaps in the graph of a
+    /// `nodes`-entry one, and checks the warm open replays the log instead
+    /// and then serves both old and fresh entries their own responses.
+    fn a_foreign_graph_replays_the_log(name: &str, entries: usize, nodes: usize) {
+        let dir = tmp(name);
+        let c = checkpointed(&dir, entries);
+        let mut payload = c.snapshot_payload();
+        payload.truncate(payload.len() - 8 - c.index.dump().len());
+        drop(c);
+        let mut other = SemanticCache::new(near_config(), NgramEmbedder::default());
+        for i in 0..nodes {
+            other.insert(&format!("other {i}"), "other");
+        }
+        let graph = other.index.dump();
+        wire::put_u64(&mut payload, graph.len() as u64);
+        payload.extend_from_slice(&graph);
+        rewrite_checkpoint(&dir, payload);
+
+        let replayed = owned_state(&open_near(&dir, OpenMode::Replay));
+        let mut warm = open_near(&dir, OpenMode::Warm);
+        assert_eq!(owned_state(&warm), replayed);
+        warm.insert("a fresh prompt", "fresh");
+        for (prompt, want) in (0..entries)
+            .map(|i| (format!("prompt {i}!"), format!("resp {i}")))
+            .chain([("a fresh prompt!".to_string(), "fresh".to_string())])
+        {
+            match warm.lookup(&prompt) {
+                CacheOutcome::NearHit { response, .. } => assert_eq!(response, want, "{prompt}"),
+                other => panic!("{prompt}: expected a near hit, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_graph_with_fewer_slots_than_entries_replays_the_log() {
+        a_foreign_graph_replays_the_log("short-graph", 6, 3);
+    }
+
+    #[test]
+    fn a_graph_with_more_slots_than_entries_replays_the_log() {
+        a_foreign_graph_replays_the_log("long-graph", 3, 6);
+    }
+
+    #[test]
+    fn warm_open_survives_mutated_checkpoints() {
+        use rand::{RngExt, SeedableRng, StdRng};
+        const MUTATIONS: usize = 2000;
+        let dir = tmp("mutated");
+        // 23 distinct prompts through 8 slots: the checkpoint holds dead
+        // slots and a graph with removed rows, and the ops after it leave
+        // a log suffix for the warm open to replay.
+        let mut c = open_near(&dir, OpenMode::Replay);
+        drive(&mut c, 0, 30);
+        c.persist_to(&dir).unwrap();
+        let valid = c.snapshot_payload();
+        drive(&mut c, 30, 36);
+        drop(c);
+        let replayed = owned_state(&open_near(&dir, OpenMode::Replay));
+
+        let mut rng = StdRng::seed_from_u64(0xcac4e);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..MUTATIONS {
+            let mut bytes = valid.clone();
+            let at = rng.random_range(0..bytes.len());
+            let end = (at + rng.random_range(1..9)).min(bytes.len());
+            match rng.random_range(0..4) {
+                0 => bytes[at] ^= 1 << rng.random_range(0..8),
+                1 => bytes[at..end].iter_mut().for_each(|b| *b = !*b),
+                2 => bytes[at..end].fill(0),
+                _ => bytes.truncate(at),
+            }
+            rewrite_checkpoint(&dir, bytes.clone());
+            let warm = open_near(&dir, OpenMode::Warm);
+            let mut restored = SemanticCache::new(near_config(), NgramEmbedder::default());
+            if restored.restore_snapshot(&bytes).is_err() {
+                rejected += 1;
+                assert_eq!(owned_state(&warm), replayed, "a rejected checkpoint must replay");
+                continue;
+            }
+            // Accepted bytes serve lookups in both tiers and evicting
+            // inserts (in memory, so the log stays intact).
+            accepted += 1;
+            drive(&mut restored, 0, 12);
+            for i in 0..6 {
+                restored.insert(&format!("mutant {i}"), "m");
+                restored.lookup(&format!("mutant {i}!"));
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "accepted {accepted}, rejected {rejected}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,43 +1,39 @@
-//! Crash-safe persistent vector store.
+//! Crash-safe storage pieces.
 //!
 //! PAS's serving stack derives expensive state from cheap inputs —
 //! embeddings, an HNSW graph, int8/PQ code stores, semantic-cache entries
 //! — and before this crate it all died with the process. `pas-store`
-//! persists it behind one deterministic, crash-safe abstraction:
+//! holds the pieces that state persists through; the semantic cache
+//! (`pas_gateway::SemanticCache`) is the one index built on top of them:
 //!
-//! - [`segment`] — [`SegmentLog`]: an append-only log of `vec:{id}` /
-//!   `meta:{id}` / tombstone records ([`Record`]), per-record CRC-32,
+//! - [`record`] — [`Record`]: the `vec:{id}` / `meta:{id}` / tombstone
+//!   records ([`RecordMeta`] carries the sidecar) and their CRC'd framing.
+//! - [`segment`] — [`SegmentLog`]: an append-only log of records,
 //!   config-fingerprinted headers, torn-tail recovery, and atomic
 //!   generation-based compaction. The design generalizes
 //!   `pas_fault::Journal` from JSONL lines to binary frames.
 //! - [`snapshot`] — an atomically-replaced checkpoint file holding an
-//!   opaque payload (e.g. an [`pas_ann::Hnsw`] `dump()`) pinned to a log
-//!   position, so a warm open restores the graph and replays only the log
-//!   suffix.
-//! - [`store`] — [`VectorStore`]: the materialized view — an HNSW index
-//!   plus metadata ([`RecordMeta`]) with stable external ids, write-ahead
-//!   logging, checkpointing, and metadata-filtered search.
+//!   opaque payload (the cache's entry table and HNSW graph dump) pinned
+//!   to a log position, so a warm open restores the state and replays
+//!   only the log suffix.
+//! - [`wire`] and [`crc`] — the little-endian codec and the CRC-32 the
+//!   formats share.
 //!
-//! **Determinism contract:** replaying a log's records into a fresh index
-//! reproduces the live index bit-exactly (the graph dump preserves RNG
-//! continuity — see [`pas_ann::Hnsw::load`]), so a warm open, a cold
-//! rebuild, and a never-closed store all probe identically. Crash safety
-//! is proven by sweep: `pas_fault::DiskFaults` can kill the store at
-//! every durability boundary, and `tests/chaos.rs` reopens after each and
-//! checks the recovered state is a prefix of the attempted ops — no
-//! duplicates, no ghosts, no torn frames surviving.
+//! **Crash safety** is proven by sweep: `pas_fault::DiskFaults` can kill
+//! the log at every durability boundary, and `tests/chaos.rs` reopens the
+//! semantic cache after each kill and checks the recovered state is one
+//! the interrupted op allows — no duplicates, no ghosts, no torn frames
+//! surviving — and that warm and cold reopens agree bit for bit.
 
 pub mod crc;
 pub mod record;
 pub mod segment;
 pub mod snapshot;
-pub mod store;
 pub mod wire;
 
 pub use record::{Record, RecordMeta};
 pub use segment::{SegmentLog, StoreConfig};
 pub use snapshot::{read_snapshot, write_snapshot, SnapshotData};
-pub use store::{Hit, VectorStore, VectorStoreConfig};
 
 // Observability: segment files opened/created, compactions run, records
 // replayed at open, torn tails truncated at open, and bytes across the

@@ -19,9 +19,9 @@
 use crate::wire::{self, Reader};
 use std::io;
 
-/// Sidecar metadata stored alongside a vector. `category` and `degraded`
-/// are first-class so filtered search ([`crate::VectorStore::search_filtered`])
-/// needs no field scan; everything else rides in `fields` key-value pairs.
+/// Sidecar metadata stored alongside a vector. `category` (the semantic
+/// cache's record kind) and `degraded` are first-class bytes of the record
+/// format; everything else rides in `fields` key-value pairs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecordMeta {
     /// Free-form category label (e.g. a route or tenant).

@@ -45,8 +45,8 @@ const SEG_MAGIC: &[u8] = b"PASSEG01";
 /// first_op(8) + crc(4).
 const HEADER_LEN: usize = 44;
 
-/// Segment-log tuning knobs. All triggers are functions of byte and record
-/// counts only, so log layout is deterministic for a given op sequence.
+/// Segment-log tuning knobs. The roll trigger is a function of byte counts
+/// only, so log layout is deterministic for a given op sequence.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Configuration fingerprint stamped into every header; opening a
@@ -54,13 +54,11 @@ pub struct StoreConfig {
     pub fingerprint: u64,
     /// Roll to a new segment file once the current one exceeds this.
     pub segment_max_bytes: u64,
-    /// Compaction trigger: at least this many tombstones…
-    pub compact_min_dead: u64,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig { fingerprint: 0, segment_max_bytes: 4 << 20, compact_min_dead: 64 }
+        StoreConfig { fingerprint: 0, segment_max_bytes: 4 << 20 }
     }
 }
 
@@ -130,9 +128,6 @@ pub struct SegmentLog {
     next_seq: u64,
     /// Records in the current generation (replayed + appended).
     op_count: u64,
-    /// Tombstones among them (compaction-pressure estimate: each one kills
-    /// roughly a meta+vector pair besides itself).
-    tombstones: u64,
     current: Option<File>,
     current_bytes: u64,
     /// Bytes across all current-generation files (headers included).
@@ -181,7 +176,6 @@ impl SegmentLog {
             generation,
             next_seq: 0,
             op_count: 0,
-            tombstones: 0,
             current: None,
             current_bytes: 0,
             total_bytes: 0,
@@ -254,9 +248,6 @@ impl SegmentLog {
             }
             match Self::read_frame(&bytes[pos..]) {
                 Frame::Rec(rec, used) => {
-                    if matches!(rec, Record::Tombstone { .. }) {
-                        self.tombstones += 1;
-                    }
                     records.push(rec);
                     self.op_count += 1;
                     pos += used;
@@ -347,13 +338,6 @@ impl SegmentLog {
         Ok(())
     }
 
-    /// True when enough tombstones accumulated that roughly half the
-    /// records are dead weight (each tombstone kills ~2 earlier records
-    /// plus itself).
-    pub fn wants_compaction(&self) -> bool {
-        self.tombstones >= self.config.compact_min_dead && 6 * self.tombstones >= self.op_count
-    }
-
     /// Writes `bytes` to `file` under fault control: a fired fault may
     /// land nothing, a seeded prefix, or everything-but-report-failure,
     /// and poisons the handle.
@@ -408,9 +392,6 @@ impl SegmentLog {
         self.op_count += 1;
         self.current_bytes += frame.len() as u64;
         self.total_bytes += frame.len() as u64;
-        if matches!(record, Record::Tombstone { .. }) {
-            self.tombstones += 1;
-        }
         OBS_BYTES.set(self.total_bytes);
         Ok(op)
     }
@@ -476,7 +457,6 @@ impl SegmentLog {
         self.generation = generation;
         self.next_seq = 1;
         self.op_count = live.len() as u64;
-        self.tombstones = 0;
         self.current = Some(OpenOptions::new().append(true).open(&path)?);
         self.current_bytes = bytes.len() as u64;
         self.total_bytes = bytes.len() as u64;
@@ -634,7 +614,7 @@ mod tests {
     #[test]
     fn compaction_keeps_live_records_and_sweeps_old_generation() {
         let dir = tmp("compact");
-        let cfg = StoreConfig { compact_min_dead: 4, ..Default::default() };
+        let cfg = StoreConfig::default();
         let live: Vec<Record> = (10..14).map(vec_rec).collect();
         {
             let (mut log, _) = SegmentLog::open(&dir, cfg.clone(), None).unwrap();
@@ -644,11 +624,9 @@ mod tests {
             for id in 0..6 {
                 log.append(&Record::Tombstone { id }).unwrap();
             }
-            assert!(log.wants_compaction());
             log.compact(&live).unwrap();
             assert_eq!(log.generation(), 1);
             assert_eq!(log.op_count(), 4);
-            assert!(!log.wants_compaction());
             // Appends continue in the new generation.
             log.append(&vec_rec(14)).unwrap();
         }

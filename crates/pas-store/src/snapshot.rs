@@ -1,9 +1,9 @@
 //! The checkpoint snapshot file.
 //!
-//! A snapshot pins an opaque payload (the store's materialized state —
-//! typically an HNSW graph dump plus sidecar tables) to a log position
-//! `(generation, op_count)`. On a warm open the payload restores the
-//! state directly and only the log records *after* `op_count` replay.
+//! A snapshot pins an opaque payload (the semantic cache's entry table
+//! and HNSW graph dump) to a log position `(generation, op_count)`. On a
+//! warm open the payload restores the state directly and only the log
+//! records *after* `op_count` replay.
 //!
 //! Format: magic + fingerprint + generation + op_count + payload length +
 //! payload + CRC-32 over everything before the CRC. The file is staged in

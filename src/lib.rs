@@ -23,11 +23,10 @@
 //!   snapshots (off by default; `--metrics-out` turns it on).
 //! - [`cluster`] — sharded multi-node gateway simulation: rendezvous-hash
 //!   placement, seeded network chaos, hedged cross-shard routing, and
-//!   rebalancing with `pas-store` hand-off — bit-identical at any thread
-//!   count.
-//! - [`store`] — crash-safe persistence: CRC'd append-only segment log,
-//!   deterministic compaction, warm HNSW graph snapshots, and the
-//!   gateway's warm-restart substrate.
+//!   rebalancing — bit-identical at any thread count.
+//! - [`store`] — crash-safe storage pieces under the gateway's persistent
+//!   semantic cache: CRC'd records, an append-only segment log with
+//!   deterministic compaction, and an atomic checkpoint file.
 //! - substrates: [`text`], [`tokenizer`], [`embed`], [`ann`], [`nn`].
 
 pub use pas_ann as ann;

@@ -19,20 +19,20 @@
 //! process-global and the harness runs tests concurrently (same pattern as
 //! `tests/parallel_determinism.rs`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use pas::ann::HnswConfig;
 use pas::core::{
     BuildOptions, DegradingServer, NoOptimizer, Pas, PasConfig, PasSystem, SystemConfig,
 };
 use pas::data::{Corpus, CorpusConfig, GenConfig, Generator, SelectionConfig, SelectionPipeline};
+use pas::embed::NgramEmbedder;
 use pas::eval::harness::evaluate_suite;
 use pas::eval::judge::Judge;
 use pas::eval::suite::{EvalEnv, EvalEnvConfig};
 use pas::fault::{DiskFaults, FaultConfig, FaultProfile, Journal};
+use pas::gateway::{CacheOutcome, OpenMode, SemanticCache, SemanticCacheConfig};
 use pas::llm::SimLlm;
-use pas::store::{RecordMeta, StoreConfig, VectorStore, VectorStoreConfig};
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pas-chaos-{}-{name}.jsonl", std::process::id()))
@@ -167,160 +167,174 @@ fn eventual_success_faults_and_kills_are_invisible() {
     let _ = std::fs::remove_file(&path);
 }
 
-// ── Property 4: disk-fault crash-point sweep over the persistent store ──
+// ── Disk-fault crash-point sweep over the persistent semantic cache ──
 //
 // `pas-store` asks its `DiskFaults` handle for permission at every
 // durability boundary (record appends, segment rolls, each compaction
-// step, each snapshot step). The sweep below kills the store at *every*
-// reachable boundary of a fixed workload and proves that a clean reopen
-// recovers exactly the state after some prefix of the attempted ops —
+// step, each checkpoint step). The sweep below kills a store-backed
+// `SemanticCache` at *every* reachable boundary of a fixed workload and
+// proves that a clean reopen recovers a state the interrupted op allows —
 // never a duplicate, never a ghost, never a torn frame — and that warm
-// (snapshot + suffix replay) and cold (full replay) reopens are
+// (checkpoint + suffix replay) and cold (full replay) reopens are
 // bit-identical and immediately usable.
 
-/// One scripted store operation.
+/// One scripted cache operation.
 #[derive(Debug, Clone, Copy)]
-enum StoreOp {
+enum CacheOp {
     Insert(u64),
-    Remove(u64),
+    /// An exact-hit `lookup`, which logs a recency touch.
+    Touch(u64),
+    /// An in-place `insert_versioned` upgrade of a live entry.
+    Upgrade(u64),
     Checkpoint,
 }
 
-/// Deterministic workload crossing every fault-point family: enough
-/// inserts to roll segments (256-byte cap), enough removes to trigger a
-/// compaction (`compact_min_dead: 4`), and checkpoints for the snapshot
-/// path.
-fn store_script() -> Vec<StoreOp> {
+type SweepCache = SemanticCache<NgramEmbedder>;
+
+/// A 4-entry cache with the near tier on, so every insert logs its
+/// embedding and every checkpoint carries a graph dump.
+fn sweep_config() -> SemanticCacheConfig {
+    SemanticCacheConfig { capacity: 4, tau: 0.3, ..SemanticCacheConfig::default() }
+}
+
+fn sweep_prompt(i: u64) -> String {
+    format!("sweep prompt {i} about topic {}", i % 7)
+}
+
+/// Deterministic workload crossing every fault-point family: 84 distinct
+/// inserts into 4 slots evict 80 entries, which crosses the cache's
+/// fallback compaction once (at 64 dead); touches and an upgrade log meta
+/// records; three checkpoints (before and after the compaction, and at
+/// the end) cover the snapshot path.
+fn sweep_script() -> Vec<CacheOp> {
     let mut script = Vec::new();
-    for seed in 0..12 {
-        script.push(StoreOp::Insert(seed));
+    for i in 0..84 {
+        script.push(CacheOp::Insert(i));
+        if i % 5 == 4 {
+            script.push(CacheOp::Touch(i - 2));
+        }
+        if i == 40 {
+            script.push(CacheOp::Upgrade(i - 1));
+        }
+        if i == 20 || i == 70 {
+            script.push(CacheOp::Checkpoint);
+        }
     }
-    script.push(StoreOp::Checkpoint);
-    for id in [0, 2, 4, 6, 8] {
-        script.push(StoreOp::Remove(id));
-    }
-    for seed in 12..18 {
-        script.push(StoreOp::Insert(seed));
-    }
-    script.push(StoreOp::Checkpoint);
-    for id in [10, 12, 1] {
-        script.push(StoreOp::Remove(id));
-    }
-    for seed in 18..22 {
-        script.push(StoreOp::Insert(seed));
-    }
+    script.push(CacheOp::Checkpoint);
     script
 }
 
-fn store_vector(seed: u64) -> Vec<f32> {
-    (0..8).map(|i| (((seed * 31 + i * 7) as f32) * 0.13).sin()).collect()
+fn open_sweep(
+    dir: &Path,
+    mode: OpenMode,
+    faults: Option<DiskFaults>,
+) -> std::io::Result<SweepCache> {
+    SemanticCache::open_from_with(sweep_config(), NgramEmbedder::default(), dir, mode, faults)
 }
 
-fn store_meta(seed: u64) -> RecordMeta {
-    RecordMeta {
-        category: format!("cat{}", seed % 3),
-        degraded: seed.is_multiple_of(5),
-        stamp: seed,
-        fields: vec![("v".to_string(), format!("payload-{seed}"))],
-    }
-}
-
-fn store_config() -> VectorStoreConfig {
-    VectorStoreConfig {
-        store: StoreConfig {
-            segment_max_bytes: 256,
-            compact_min_dead: 4,
-            ..StoreConfig::default()
-        },
-        hnsw: HnswConfig { m: 6, ef_construction: 24, seed: 0xc4a5 },
-    }
-}
-
-fn apply_store_op(store: &mut VectorStore, op: StoreOp) -> std::io::Result<()> {
+/// Runs `op`; a boundary that failed surfaces as the cache's sticky store
+/// error (appends, compaction) or as the checkpoint's own error.
+fn apply_cache_op(cache: &mut SweepCache, dir: &Path, op: CacheOp) -> Result<(), String> {
     match op {
-        StoreOp::Insert(seed) => store.insert(store_vector(seed), store_meta(seed)).map(|_| ()),
-        StoreOp::Remove(id) => store.remove(id).map(|_| ()),
-        StoreOp::Checkpoint => store.checkpoint(),
+        CacheOp::Insert(i) => {
+            assert!(cache.insert_versioned(&sweep_prompt(i), &format!("resp {i}"), 1));
+        }
+        CacheOp::Touch(i) => {
+            let hit = cache.lookup(&sweep_prompt(i));
+            assert!(matches!(hit, CacheOutcome::ExactHit(_)), "touch {i}: {hit:?}");
+        }
+        CacheOp::Upgrade(i) => {
+            assert!(cache.insert_versioned(&sweep_prompt(i), &format!("resp {i} v2"), 2));
+        }
+        CacheOp::Checkpoint => return cache.persist_to(dir).map_err(|e| e.to_string()),
+    }
+    cache.store_error().map_or(Ok(()), |e| Err(e.to_string()))
+}
+
+/// The cache's logical state: live `(prompt, response, version)` in LRU
+/// order.
+type CacheState = Vec<(String, String, u64)>;
+
+fn observe_cache(cache: &SweepCache) -> CacheState {
+    cache
+        .live_entries_versioned()
+        .into_iter()
+        .map(|(p, r, v)| (p.to_string(), r.to_string(), v))
+        .collect()
+}
+
+/// A lookup outcome with the near-hit distance as raw bits.
+fn probe_bits(outcome: CacheOutcome) -> (&'static str, String, u32) {
+    match outcome {
+        CacheOutcome::ExactHit(r) => ("exact", r, 0),
+        CacheOutcome::NearHit { response, distance } => ("near", response, distance.to_bits()),
+        CacheOutcome::Miss => ("miss", String::new(), 0),
     }
 }
 
-/// The store's logical state, flattened to comparable bits: sorted live
-/// external ids with their exact vector bits and metadata.
-type StoreState = Vec<(u64, Vec<u32>, String)>;
-
-fn observe_store(store: &VectorStore) -> StoreState {
-    store
-        .live_ids()
-        .into_iter()
-        .map(|id| {
-            (
-                id,
-                store
-                    .vector(id)
-                    .expect("live id has a vector")
-                    .iter()
-                    .map(|f| f.to_bits())
-                    .collect(),
-                format!("{:?}", store.meta(id).expect("live id has metadata")),
-            )
-        })
-        .collect()
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+    }
 }
 
 #[test]
 fn disk_fault_sweep_recovers_a_consistent_prefix_at_every_crash_point() {
     let base = std::env::temp_dir().join(format!("pas-chaos-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let script = store_script();
+    let script = sweep_script();
 
-    // Fault-free baseline: the expected logical state after every prefix
-    // of the script. `states[k]` is the state once `k` ops completed.
-    let mut states: Vec<StoreState> = Vec::with_capacity(script.len() + 1);
+    // Fault-free baseline: `states[k]` is the state once `k` ops completed,
+    // `evictions[k]` how many entries op `k` (0-based) evicted.
+    let mut states: Vec<CacheState> = Vec::with_capacity(script.len() + 1);
+    let mut evictions: Vec<usize> = Vec::with_capacity(script.len());
     {
         let dir = base.join("baseline");
-        let mut store = VectorStore::open(&dir, store_config()).expect("baseline opens");
-        states.push(observe_store(&store));
+        let mut cache = open_sweep(&dir, OpenMode::Replay, None).expect("baseline opens");
+        states.push(observe_cache(&cache));
         for &op in &script {
-            apply_store_op(&mut store, op).expect("baseline op succeeds");
-            states.push(observe_store(&store));
+            let before = cache.evictions();
+            apply_cache_op(&mut cache, &dir, op).expect("baseline op succeeds");
+            evictions.push((cache.evictions() - before) as usize);
+            states.push(observe_cache(&cache));
         }
-        // Non-vacuity: the workload really exercised every fault family.
-        assert!(store.generation() > 0, "workload must trigger a compaction");
-        assert_eq!(store.live_len(), 14, "22 inserts minus 8 removes survive");
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.evictions(), 80, "84 inserts into 4 slots");
     }
 
     // Sweep: kill the store at boundary 0, 1, 2, … until a run completes
     // without firing (the crash point lies beyond every boundary).
     let seed = 0xd00d;
-    let probe = store_vector(777);
+    let probes: Vec<String> =
+        (0..84).step_by(3).map(|i| format!("{} again", sweep_prompt(i))).collect();
     let mut labels_hit = std::collections::BTreeSet::new();
     let mut crash_points = 0u64;
-    for crash_at in 0..400u64 {
+    // Recovered states seen: the prefix, the prefix plus the op in flight,
+    // and the prefix with some of the in-flight insert's evictions applied.
+    let mut outcomes = [0u64; 3];
+    let mut near_hits = 0u64;
+    for crash_at in 0.. {
         let dir = base.join(format!("crash-{crash_at:03}"));
         let faults = DiskFaults::crash_at(seed, crash_at);
+        let mut cache =
+            open_sweep(&dir, OpenMode::Replay, Some(faults)).expect("a fresh directory opens");
         let mut completed = 0usize;
-        let mut open_failed = false;
         let mut failure: Option<String> = None;
-        match VectorStore::open_with(&dir, store_config(), Some(faults), true) {
-            Err(e) => {
-                open_failed = true;
-                failure = Some(e.to_string());
-            }
-            Ok(mut store) => {
-                for &op in &script {
-                    match apply_store_op(&mut store, op) {
-                        Ok(()) => completed += 1,
-                        Err(e) => {
-                            failure = Some(e.to_string());
-                            break;
-                        }
-                    }
+        for &op in &script {
+            match apply_cache_op(&mut cache, &dir, op) {
+                Ok(()) => completed += 1,
+                Err(e) => {
+                    failure = Some(e);
+                    break;
                 }
             }
         }
+        drop(cache);
         let Some(message) = failure else {
             // No boundary left to kill: the sweep covered all of them.
-            assert!(crash_at >= 40, "suspiciously few boundaries: {crash_at}");
+            let _ = std::fs::remove_dir_all(&dir);
             break;
         };
         crash_points += 1;
@@ -332,54 +346,59 @@ fn disk_fault_sweep_recovers_a_consistent_prefix_at_every_crash_point() {
         }
 
         // The process "died" mid-boundary. Reopen from whatever the crash
-        // left on disk — cold (full replay) and warm (snapshot + suffix).
-        let cold = VectorStore::open_cold(&dir, store_config())
+        // left on disk — cold (full replay, on a copy) and warm
+        // (checkpoint + suffix replay, in place).
+        let cold_dir = base.join(format!("cold-{crash_at:03}"));
+        copy_dir(&dir, &cold_dir);
+        let mut cold = open_sweep(&cold_dir, OpenMode::Replay, None)
             .unwrap_or_else(|e| panic!("cold reopen after crash {crash_at} ({message}): {e}"));
-        let warm = VectorStore::open(&dir, store_config())
+        let mut warm = open_sweep(&dir, OpenMode::Warm, None)
             .unwrap_or_else(|e| panic!("warm reopen after crash {crash_at} ({message}): {e}"));
-        let got = observe_store(&cold);
+        let got = observe_cache(&cold);
 
-        // No duplicate ids, regardless of which prefix was recovered.
-        let ids: Vec<u64> = got.iter().map(|(id, _, _)| *id).collect();
-        assert!(ids.windows(2).all(|w| w[0] < w[1]), "duplicate ids after crash {crash_at}");
-
-        // Prefix consistency: exactly the state after `completed` ops, or
-        // after one more when the failing op's bytes all landed before the
-        // crash (e.g. a failed flush). Anything else — a ghost surviving
-        // its tombstone, a half-applied insert, a state from the future —
-        // fails. A crash during open itself must recover the empty store.
-        let next_ok = !open_failed && completed + 1 < states.len();
-        let consistent = got == states[completed] || (next_ok && got == states[completed + 1]);
-        assert!(
-            consistent,
-            "crash {crash_at} ({message}): recovered {} live ids, expected the state after \
-             {completed}{} completed ops",
-            got.len(),
-            if next_ok { " or +1" } else { "" },
-        );
+        // Prefix consistency with `k` ops completed: exactly `states[k]`;
+        // or `states[k + 1]` when the failing op's bytes all landed (e.g.
+        // a failed flush); or `states[k]` minus its first `i` LRU entries,
+        // `1 ≤ i ≤` the evictions of the failing op, because an insert logs
+        // its victims' tombstones before its own records. Anything else —
+        // a ghost surviving its tombstone, a half-applied insert, a state
+        // from the future — fails.
+        let k = completed;
+        let outcome = if got == states[k] {
+            0
+        } else if got == states[k + 1] {
+            1
+        } else if (1..=evictions[k]).any(|i| got[..] == states[k][i..]) {
+            2
+        } else {
+            panic!(
+                "crash {crash_at} ({message}): recovered {got:?}, which no prefix of {k} \
+                 completed ops allows"
+            );
+        };
+        outcomes[outcome] += 1;
 
         // Warm and cold reopens agree bit-for-bit, probes included.
-        assert_eq!(got, observe_store(&warm), "warm/cold state diverged after crash {crash_at}");
-        let cold_hits = cold.search(&probe, 5, 32);
-        let warm_hits = warm.search(&probe, 5, 32);
-        assert_eq!(cold_hits.len(), warm_hits.len());
-        for (c, w) in cold_hits.iter().zip(&warm_hits) {
-            assert_eq!(c.id, w.id, "warm/cold probe diverged after crash {crash_at}");
-            assert_eq!(c.distance.to_bits(), w.distance.to_bits());
+        assert_eq!(got, observe_cache(&warm), "warm/cold state diverged after crash {crash_at}");
+        for p in &probes {
+            let (c, w) = (probe_bits(cold.lookup(p)), probe_bits(warm.lookup(p)));
+            assert_eq!(c, w, "warm/cold probe {p:?} diverged after crash {crash_at}");
+            near_hits += u64::from(c.0 == "near");
         }
 
-        // The recovered store is fully usable: insert, search, checkpoint.
-        let mut revived = warm;
-        let fresh = 9_000 + crash_at;
-        let ext = revived
-            .insert(store_vector(fresh), store_meta(fresh))
-            .unwrap_or_else(|e| panic!("insert after crash {crash_at}: {e}"));
-        assert!(revived.contains(ext));
-        assert!(!revived.search(&store_vector(fresh), 1, 32).is_empty());
-        revived.checkpoint().unwrap_or_else(|e| panic!("checkpoint after crash {crash_at}: {e}"));
+        // The recovered cache is fully usable: insert, hit, checkpoint.
+        let fresh = format!("fresh prompt after crash {crash_at}");
+        warm.insert(&fresh, "fresh");
+        assert!(warm.store_error().is_none(), "insert after crash {crash_at} failed");
+        assert_eq!(warm.lookup(&fresh), CacheOutcome::ExactHit("fresh".into()));
+        warm.persist_to(&dir).unwrap_or_else(|e| panic!("checkpoint after crash {crash_at}: {e}"));
+        drop((cold, warm));
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&cold_dir).unwrap();
     }
 
-    // Every fault-point family was actually swept.
+    // Every fault-point family was actually swept, and every recovery
+    // shape actually occurred.
     for label in [
         "append",
         "segment.roll",
@@ -392,7 +411,9 @@ fn disk_fault_sweep_recovers_a_consistent_prefix_at_every_crash_point() {
     ] {
         assert!(labels_hit.contains(label), "sweep never crashed at {label}: {labels_hit:?}");
     }
-    assert!(crash_points >= 40, "sweep must cover many boundaries, got {crash_points}");
+    assert!(crash_points >= 200, "sweep must cover many boundaries, got {crash_points}");
+    assert!(outcomes.iter().all(|&n| n > 0), "recovery shapes seen: {outcomes:?}");
+    assert!(near_hits > 0, "the probes must exercise the near tier");
     let _ = std::fs::remove_dir_all(&base);
 }
 
@@ -546,9 +567,6 @@ fn transient_outage_trips_breaker_then_recovers() {
 /// legs.
 #[test]
 fn cache_replay_open_survives_mid_replay_disk_faults() {
-    use pas::embed::NgramEmbedder;
-    use pas::gateway::{CacheOutcome, OpenMode, SemanticCache, SemanticCacheConfig};
-
     let dir = std::env::temp_dir().join(format!("pas-chaos-replay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = SemanticCacheConfig { capacity: 64, tau: 0.3, ..SemanticCacheConfig::default() };
