@@ -24,6 +24,16 @@
 //! int8-quantized codes ([`SemanticCacheConfig::quantized`]) — the exact
 //! f32 re-rank inside `pas-ann` keeps the served neighbors bit-identical.
 //!
+//! A near-tier probe is a pure function of the prompt and the index, and
+//! the index changes only when an entry is installed, evicted or
+//! renumbered. So the cache memoizes each probe's *outcome* — which entry
+//! serves the prompt and at what distance, or none — keyed by the prompt,
+//! and clears the memo at every such change and whenever it holds
+//! `capacity` prompts. A repeat near hit then skips the embedding and the
+//! HNSW search but still touches the entry, counts a near hit and serves
+//! the entry's current response. The memo is derived state: it is never
+//! logged, checkpointed, replicated or counted against capacity.
+//!
 //! The cache is a plain `&mut self` structure: the gateway's event loop is
 //! serial (that is what makes runs bit-reproducible), so no interior
 //! locking is needed.
@@ -214,6 +224,9 @@ pub struct SemanticCache<E> {
     /// stamp → entry id, live entries only (stamps are unique).
     lru: std::collections::BTreeMap<u64, usize>,
     index: Hnsw<CosineDistance>,
+    /// prompt → what its last near-tier probe found: the serving entry's
+    /// id and distance, or `None`. Valid until the index next changes.
+    near_memo: HashMap<String, Option<(usize, f32)>>,
     clock: u64,
     hits: u64,
     near_hits: u64,
@@ -240,6 +253,7 @@ impl<E: Embedder> SemanticCache<E> {
             entries: Vec::new(),
             lru: std::collections::BTreeMap::new(),
             index,
+            near_memo: HashMap::new(),
             clock: 0,
             hits: 0,
             near_hits: 0,
@@ -673,31 +687,71 @@ impl<E: Embedder> SemanticCache<E> {
             return CacheOutcome::ExactHit(self.entries[id].response.clone());
         }
         if self.config.tau > 0.0 && !self.exact.is_empty() {
-            let query = self.embedder.embed(prompt);
-            // Over-fetch a little so a tombstoned nearest neighbour does
-            // not hide a live one right behind it.
-            let neighbors = self.index.search(&query, 4, self.config.ef);
-            if let Some(n) = neighbors.into_iter().find(|n| self.entries[n.id].alive) {
-                if n.distance <= self.config.tau {
-                    self.near_hits += 1;
-                    self.touch(n.id);
-                    return CacheOutcome::NearHit {
-                        response: self.entries[n.id].response.clone(),
-                        distance: n.distance,
-                    };
-                }
+            if let [Some((id, distance))] = self.near_tier(&[prompt])[..] {
+                self.near_hits += 1;
+                self.touch(id);
+                return CacheOutcome::NearHit {
+                    response: self.entries[id].response.clone(),
+                    distance,
+                };
             }
         }
         self.misses += 1;
         CacheOutcome::Miss
     }
 
+    /// The near tier for prompts the exact tier missed: for each prompt,
+    /// the live entry that serves it and their distance, or `None`. The
+    /// rule is that the first live neighbour among the top 4 hits only
+    /// within τ. The memo answers what it can; the other prompts are
+    /// embedded and probed (several through one [`Hnsw::search_batch`]
+    /// call), and their answers are memoized. Callers check that the tier
+    /// is on and the cache is not empty.
+    fn near_tier(&mut self, prompts: &[&str]) -> Vec<Option<(usize, f32)>> {
+        let mut hits = Vec::with_capacity(prompts.len());
+        let mut todo = Vec::new();
+        for (i, &p) in prompts.iter().enumerate() {
+            let memo = self.near_memo.get(p).copied();
+            if memo.is_none() {
+                todo.push(i);
+            }
+            hits.push(memo.flatten());
+        }
+        if todo.is_empty() {
+            return hits;
+        }
+        let queries: Vec<Vec<f32>> =
+            todo.iter().map(|&i| self.embedder.embed(prompts[i])).collect();
+        // Both walks return the same neighbours; a lone query skips the
+        // batch bookkeeping.
+        let found = match queries.as_slice() {
+            [query] => vec![self.index.search(query, 4, self.config.ef)],
+            _ => self.index.search_batch(&queries, 4, self.config.ef),
+        };
+        for (&i, neighbors) in todo.iter().zip(found) {
+            // Over-fetch a little so a tombstoned nearest neighbour does
+            // not hide a live one right behind it.
+            let hit = neighbors
+                .into_iter()
+                .find(|n| self.entries[n.id].alive)
+                .filter(|n| n.distance <= self.config.tau)
+                .map(|n| (n.id, n.distance));
+            if self.near_memo.len() >= self.config.capacity {
+                self.near_memo.clear();
+            }
+            self.near_memo.insert(prompts[i].to_string(), hit);
+            hits[i] = hit;
+        }
+        hits
+    }
+
     /// Probes both tiers for a whole micro-batch at dispatch time, *without*
     /// the per-arrival hit/miss accounting — [`SemanticCache::lookup`]
     /// already counted these prompts when they arrived; this is the second
     /// chance an enqueued request gets after earlier batches completed and
-    /// installed fresh complements. All near-tier probes of the batch run
-    /// through one [`Hnsw::search_batch`] call. Hits refresh recency.
+    /// installed fresh complements. Near-tier probes go through the same
+    /// memo as `lookup`; the prompts it cannot answer run through one
+    /// [`Hnsw::search_batch`] call. Hits refresh recency.
     pub fn lookup_batch(&mut self, prompts: &[&str]) -> Vec<Option<String>> {
         if self.config.capacity == 0 {
             return vec![None; prompts.len()];
@@ -716,15 +770,11 @@ impl<E: Embedder> SemanticCache<E> {
             }
         }
         if !pending.is_empty() {
-            let queries: Vec<Vec<f32>> =
-                pending.iter().map(|&pi| self.embedder.embed(prompts[pi])).collect();
-            let results = self.index.search_batch(&queries, 4, self.config.ef);
-            for (&pi, neighbors) in pending.iter().zip(&results) {
-                if let Some(n) = neighbors.iter().find(|n| self.entries[n.id].alive) {
-                    if n.distance <= self.config.tau {
-                        self.touch(n.id);
-                        out[pi] = Some(self.entries[n.id].response.clone());
-                    }
+            let near: Vec<&str> = pending.iter().map(|&pi| prompts[pi]).collect();
+            for (&pi, hit) in pending.iter().zip(self.near_tier(&near)) {
+                if let Some((id, _)) = hit {
+                    self.touch(id);
+                    out[pi] = Some(self.entries[id].response.clone());
                 }
             }
         }
@@ -811,6 +861,9 @@ impl<E: Embedder> SemanticCache<E> {
         if self.config.tau > 0.0 {
             let got = self.index.insert(raw);
             debug_assert_eq!(got, id, "index ids must align with entries");
+            // This insert and the evictions above changed the graph, so
+            // every memoized probe answer may be stale.
+            self.near_memo.clear();
         }
         self.entries.push(Entry {
             prompt: prompt.to_string(),
@@ -878,6 +931,8 @@ impl<E: Embedder> SemanticCache<E> {
         } else if self.config.quantized {
             self.index.set_quantization(true);
         }
+        // A new graph over renumbered ids: no memoized answer survives.
+        self.near_memo.clear();
         self.exact.clear();
         self.lru.clear();
         for (id, entry) in live.iter().enumerate() {
@@ -1601,5 +1656,234 @@ mod tests {
             (log, c.hits(), c.near_hits(), c.misses(), c.evictions())
         };
         assert_eq!(run(), run());
+    }
+
+    /// What a fresh probe of `prompt` finds, embedding and searching
+    /// directly with no memo: the outcome and the id of the entry it
+    /// serves. Every memoized answer must equal it.
+    fn probe_direct(
+        c: &SemanticCache<NgramEmbedder>,
+        prompt: &str,
+    ) -> (CacheOutcome, Option<usize>) {
+        if c.config.capacity == 0 {
+            return (CacheOutcome::Miss, None);
+        }
+        if let Some(&id) = c.exact.get(prompt) {
+            return (CacheOutcome::ExactHit(c.entries[id].response.clone()), Some(id));
+        }
+        if c.config.tau > 0.0 && !c.exact.is_empty() {
+            let query = c.embedder.embed(prompt);
+            let neighbors = c.index.search(&query, 4, c.config.ef);
+            if let Some(n) = neighbors.into_iter().find(|n| c.entries[n.id].alive) {
+                if n.distance <= c.config.tau {
+                    let response = c.entries[n.id].response.clone();
+                    return (CacheOutcome::NearHit { response, distance: n.distance }, Some(n.id));
+                }
+            }
+        }
+        (CacheOutcome::Miss, None)
+    }
+
+    /// An outcome with its distance as raw bits, so equality is bitwise.
+    fn outcome_bits(o: &CacheOutcome) -> (u8, &str, u32) {
+        match o {
+            CacheOutcome::ExactHit(r) => (0, r, 0),
+            CacheOutcome::NearHit { response, distance } => (1, response, distance.to_bits()),
+            CacheOutcome::Miss => (2, "", 0),
+        }
+    }
+
+    /// Live ids from the most recently used back, `n` of them.
+    fn recent_ids(c: &SemanticCache<NgramEmbedder>, n: usize) -> Vec<usize> {
+        c.lru.values().rev().take(n).copied().collect()
+    }
+
+    #[test]
+    fn the_near_memo_never_changes_an_answer() {
+        use rand::{RngExt, SeedableRng, StdRng};
+        // Hot prompts and their surface variants, which land near them at
+        // a spread of distances around τ; cold prompts are never repeated.
+        let hot = |i: usize, v: usize| {
+            let base = format!("request {i} about subject {} in style {}", i % 7, i % 3);
+            match v {
+                0 => base,
+                1 => format!("{base}!"),
+                2 => format!("please {base}"),
+                3 => format!("{base} today"),
+                _ => format!("request {i} about topic {} in style {}", i % 7, i % 3),
+            }
+        };
+        for (tier, quantized, pq) in
+            [("f32", false, false), ("int8", true, false), ("pq", false, true)]
+        {
+            // 64 slots: PQ trains when they fill, the fallback compaction
+            // fires past 512 dead ones, and cold inserts evict throughout.
+            let capacity = 64;
+            let config = SemanticCacheConfig {
+                capacity,
+                tau: 0.25,
+                quantized,
+                pq,
+                ..SemanticCacheConfig::default()
+            };
+            let dir = tmp(&format!("memo-{tier}"));
+            let mut c = SemanticCache::new(config, NgramEmbedder::default());
+            let mut rng = StdRng::seed_from_u64(0x3e30);
+            let (mut hits, mut near, mut misses, mut installs) = (0u64, 0u64, 0u64, 0u64);
+            let (mut memo_answers, mut memo_peak, mut compactions, mut cold) = (0, 0, 0, 0);
+            let install = |c: &mut SemanticCache<NgramEmbedder>, p: &str, installs: &mut u64| {
+                *installs += u64::from(c.peek(p).is_none());
+                c.insert(p, &format!("{p} [c]"));
+            };
+            for step in 0..3000 {
+                // Alternate 100-step write phases (cold installs, so the
+                // memo is cleared often) with read phases (hot traffic
+                // only, so the memo answers repeats).
+                let writing = (step / 100) % 2 == 0;
+                if step == 350 {
+                    // Adopt a store after lookups, with dead slots to
+                    // renumber and a memo to invalidate.
+                    assert!(!c.near_memo.is_empty() && c.entries.len() > c.exact.len(), "{tier}");
+                    c.persist_to(&dir).unwrap();
+                }
+                let before = c.entries.len();
+                let pick = |rng: &mut StdRng| hot(rng.random_range(0..24), rng.random_range(0..5));
+                match rng.random_range(0..10) {
+                    0..=5 if writing => {
+                        install(
+                            &mut c,
+                            &format!("cold request {cold} on matter {}", cold % 11),
+                            &mut installs,
+                        );
+                        cold += 1;
+                    }
+                    0..=5 => {
+                        let p = pick(&mut rng);
+                        memo_answers += usize::from(c.near_memo.contains_key(&p));
+                        let (want, id) = probe_direct(&c, &p);
+                        let got = c.lookup(&p);
+                        assert_eq!(
+                            outcome_bits(&got),
+                            outcome_bits(&want),
+                            "{tier} step {step}: {p}"
+                        );
+                        if let Some(id) = id {
+                            assert_eq!(recent_ids(&c, 1), [id], "{tier} step {step}: touched");
+                        }
+                        match want {
+                            CacheOutcome::ExactHit(_) => hits += 1,
+                            CacheOutcome::NearHit { .. } => near += 1,
+                            CacheOutcome::Miss => {
+                                misses += 1;
+                                install(&mut c, &p, &mut installs);
+                            }
+                        }
+                    }
+                    6..=8 => {
+                        let batch: Vec<String> =
+                            (0..rng.random_range(1..5)).map(|_| pick(&mut rng)).collect();
+                        let batch: Vec<&str> = batch.iter().map(String::as_str).collect();
+                        memo_answers +=
+                            batch.iter().filter(|p| c.near_memo.contains_key(**p)).count();
+                        let want: Vec<_> = batch.iter().map(|p| probe_direct(&c, p)).collect();
+                        let got = c.lookup_batch(&batch);
+                        for ((g, (w, _)), p) in got.iter().zip(&want).zip(&batch) {
+                            let w = match w {
+                                CacheOutcome::ExactHit(r)
+                                | CacheOutcome::NearHit { response: r, .. } => Some(r),
+                                CacheOutcome::Miss => None,
+                            };
+                            assert_eq!(g.as_ref(), w, "{tier} step {step}: batch {p}");
+                        }
+                        // Exact hits touch first, then near hits, each in
+                        // batch order; the recency tail shows the last touch
+                        // of each entry.
+                        let is_exact = |w: &CacheOutcome| matches!(w, CacheOutcome::ExactHit(_));
+                        let (exact, nearby): (Vec<_>, Vec<_>) =
+                            want.iter().partition(|(w, _)| is_exact(w));
+                        let touched: Vec<usize> =
+                            exact.iter().chain(&nearby).filter_map(|(_, id)| *id).collect();
+                        let mut tail: Vec<usize> = Vec::new();
+                        for &id in touched.iter().rev() {
+                            if !tail.contains(&id) {
+                                tail.push(id);
+                            }
+                        }
+                        assert_eq!(
+                            recent_ids(&c, tail.len()),
+                            tail,
+                            "{tier} step {step}: batch touches"
+                        );
+                    }
+                    _ => {
+                        // Upgrade a live entry in place: a memoized near hit
+                        // on it must serve the new response.
+                        let live = c.live_entries_versioned();
+                        let (p, _, v) = live[rng.random_range(0..live.len())];
+                        let (p, v) = (p.to_string(), v);
+                        assert!(c.insert_versioned(&p, &format!("{p} [v{}]", v + 1), v + 1));
+                    }
+                }
+                compactions += usize::from(c.entries.len() < before);
+                memo_peak = memo_peak.max(c.near_memo.len());
+                assert!(c.near_memo.len() <= capacity, "{tier} step {step}: memo over capacity");
+            }
+            assert_eq!(
+                (c.hits(), c.near_hits(), c.misses(), c.evictions()),
+                (hits, near, misses, installs - c.len() as u64),
+                "{tier}: counters"
+            );
+            assert!(c.store_error().is_none(), "{tier}");
+            assert!(compactions > 0, "{tier}: the fallback compaction never fired");
+            assert_eq!(memo_peak, capacity, "{tier}: the memo never filled");
+            assert!(
+                memo_answers > 400 && near > 400 && misses > 0,
+                "{tier}: memo {memo_answers}, near {near}"
+            );
+            if pq {
+                assert!(c.index.probe_bytes_per_vector() < c.embedder.dim(), "PQ never trained");
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// An embedder that counts its calls.
+    struct Counting(NgramEmbedder, std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Embedder for Counting {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn embed(&self, text: &str) -> Vec<f32> {
+            self.1.set(self.1.get() + 1);
+            self.0.embed(text)
+        }
+    }
+
+    #[test]
+    fn a_repeat_near_hit_embeds_once_until_the_next_insert() {
+        let calls = std::rc::Rc::new(std::cell::Cell::new(0));
+        let config =
+            SemanticCacheConfig { capacity: 8, tau: 0.2, ..SemanticCacheConfig::default() };
+        let mut c = SemanticCache::new(config, Counting(NgramEmbedder::default(), calls.clone()));
+        c.insert("please sort this list of numbers for me", "r1");
+        let variant = "please sort this list of numbers for me!";
+        let near = |c: &mut SemanticCache<Counting>| match c.lookup(variant) {
+            CacheOutcome::NearHit { response, .. } => response,
+            other => panic!("expected a near hit, got {other:?}"),
+        };
+        calls.set(0);
+        assert_eq!((near(&mut c), near(&mut c)), ("r1".to_string(), "r1".to_string()));
+        assert_eq!(calls.get(), 1, "the repeat must be answered by the memo");
+        // An upgrade leaves the graph alone: the memo still answers, with
+        // the new response.
+        c.insert_versioned("please sort this list of numbers for me", "r2", 2);
+        assert_eq!((near(&mut c), calls.get()), ("r2".to_string(), 1));
+        // An insert changes the graph: the next probe embeds again.
+        c.insert("write a poem about the autumn moon", "r3");
+        calls.set(0);
+        assert_eq!((near(&mut c), near(&mut c)), ("r2".to_string(), "r2".to_string()));
+        assert_eq!(calls.get(), 1);
+        assert_eq!(c.near_hits(), 5);
     }
 }

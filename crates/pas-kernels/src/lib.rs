@@ -191,6 +191,19 @@ fn reduce8(acc: [f32; LANES]) -> f32 {
     (s04 + s26) + (s15 + s37)
 }
 
+/// True when row `r` of `width` elements lies inside a store of `len`
+/// elements. The arithmetic is checked: a wrapped `(r + 1) · width` would
+/// pass a plain `<=` and send the SIMD kernels' row offsets outside the
+/// store.
+fn row_fits(r: usize, width: usize, len: usize) -> bool {
+    r.checked_add(1).and_then(|end| end.checked_mul(width)).is_some_and(|end| end <= len)
+}
+
+/// Longest table set the AVX2 ADC gathers address: their offsets are
+/// `i32` lanes. A longer one takes the scalar walk, which is bit-identical.
+#[cfg(target_arch = "x86_64")]
+const GATHER_MAX: usize = i32::MAX as usize;
+
 #[inline(always)]
 fn assert_same_len(a: &[f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "dimension mismatch: {} vs {}", a.len(), b.len());
@@ -204,7 +217,11 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_same_len(a, b);
     #[cfg(target_arch = "x86_64")]
     match backend() {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and
+        // `assert_same_len` above makes `a` and `b` equally long.
         Backend::Avx2 => return unsafe { x86::dot_avx2(a, b) },
+        // SAFETY: `backend()` is `Sse2` only on x86_64, where SSE2 is baseline;
+        // lengths as above.
         Backend::Sse2 => return unsafe { x86::dot_sse2(a, b) },
         Backend::Scalar => {}
     }
@@ -215,7 +232,10 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 pub fn sum_sq(v: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     match backend() {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2; the
+        // kernel reads `v` alone, so there is no shape to check.
         Backend::Avx2 => return unsafe { x86::sum_sq_avx2(v) },
+        // SAFETY: `backend()` is `Sse2` only on x86_64, where SSE2 is baseline.
         Backend::Sse2 => return unsafe { x86::sum_sq_sse2(v) },
         Backend::Scalar => {}
     }
@@ -230,7 +250,11 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     assert_same_len(a, b);
     #[cfg(target_arch = "x86_64")]
     match backend() {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and
+        // `assert_same_len` above makes `a` and `b` equally long.
         Backend::Avx2 => return unsafe { x86::l2_sq_avx2(a, b) },
+        // SAFETY: `backend()` is `Sse2` only on x86_64, where SSE2 is baseline;
+        // lengths as above.
         Backend::Sse2 => return unsafe { x86::l2_sq_sse2(a, b) },
         Backend::Scalar => {}
     }
@@ -248,7 +272,11 @@ pub fn dot_norms(a: &[f32], b: &[f32]) -> (f32, f32, f32) {
     assert_same_len(a, b);
     #[cfg(target_arch = "x86_64")]
     match backend() {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and
+        // `assert_same_len` above makes `a` and `b` equally long.
         Backend::Avx2 => return unsafe { x86::dot_norms_avx2(a, b) },
+        // SAFETY: `backend()` is `Sse2` only on x86_64, where SSE2 is baseline;
+        // lengths as above.
         Backend::Sse2 => return unsafe { x86::dot_norms_sse2(a, b) },
         Backend::Scalar => {}
     }
@@ -292,7 +320,11 @@ pub fn dot_block(query: &[f32], panel: &[f32], out: &mut [f32]) {
     );
     #[cfg(target_arch = "x86_64")]
     match backend() {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and the
+        // assert above makes `panel` exactly `out.len()` rows of `query.len()`.
         Backend::Avx2 => return unsafe { x86::dot_block_avx2(query, panel, out) },
+        // SAFETY: `backend()` is `Sse2` only on x86_64, where SSE2 is baseline;
+        // shape as above.
         Backend::Sse2 => return unsafe { x86::dot_block_sse2(query, panel, out) },
         Backend::Scalar => {}
     }
@@ -309,6 +341,8 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     assert_eq!(a.len(), b.len(), "dimension mismatch: {} vs {}", a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
     if backend() == Backend::Avx2 {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and the
+        // assert above makes `a` and `b` equally long.
         return unsafe { x86::dot_i8_avx2(a, b) };
     }
     striped::dot_i8(a, b)
@@ -330,6 +364,8 @@ pub fn dot_i8_block(query: &[i8], panel: &[i8], out: &mut [i32]) {
     );
     #[cfg(target_arch = "x86_64")]
     if backend() == Backend::Avx2 {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and the
+        // assert above makes `panel` exactly `out.len()` rows of `query.len()`.
         return unsafe { x86::dot_i8_block_avx2(query, panel, out) };
     }
     striped::dot_i8_block(query, panel, out)
@@ -346,10 +382,13 @@ pub fn dot_i8_rows(query: &[i8], codes: &[i8], rows: &[usize], out: &mut [i32]) 
     let d = query.len();
     assert_eq!(rows.len(), out.len(), "dot_i8_rows: {} rows for {} outputs", rows.len(), out.len());
     for &r in rows {
-        assert!((r + 1) * d <= codes.len(), "dot_i8_rows: row {r} out of range");
+        assert!(row_fits(r, d, codes.len()), "dot_i8_rows: row {r} out of range");
     }
     #[cfg(target_arch = "x86_64")]
     if backend() == Backend::Avx2 {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2; the
+        // asserts above match `rows` to `out` and put every indexed row inside
+        // `codes`.
         return unsafe { x86::dot_i8_rows_avx2(query, codes, rows, out) };
     }
     striped::dot_i8_rows(query, codes, rows, out)
@@ -375,7 +414,11 @@ pub fn lut_gather(lut: &[u32], codes: &[u8]) -> u32 {
         codes.len()
     );
     #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 {
+    if backend() == Backend::Avx2 && lut.len() <= GATHER_MAX {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2; the
+        // assert above gives `lut` one 256-entry table per code, so every
+        // gathered offset `s·256 + code` is below `lut.len()`, which
+        // `GATHER_MAX` keeps within `i32`.
         return unsafe { x86::lut_gather_avx2(lut, codes) };
     }
     striped::lut_gather(lut, codes)
@@ -404,7 +447,11 @@ pub fn lut_gather_block(lut: &[u32], panel: &[u8], out: &mut [u32]) {
         out.len()
     );
     #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 {
+    if backend() == Backend::Avx2 && lut.len() <= GATHER_MAX {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2; the
+        // asserts above make `lut` whole 256-entry tables, at most `GATHER_MAX`
+        // entries long, and `panel` exactly `out.len()` rows of one code per
+        // table.
         return unsafe { x86::lut_gather_block_avx2(lut, panel, out) };
     }
     striped::lut_gather_block(lut, panel, out)
@@ -433,10 +480,14 @@ pub fn lut_gather_rows(lut: &[u32], codes: &[u8], rows: &[usize], out: &mut [u32
         out.len()
     );
     for &r in rows {
-        assert!((r + 1) * m <= codes.len(), "lut_gather_rows: row {r} out of range");
+        assert!(row_fits(r, m, codes.len()), "lut_gather_rows: row {r} out of range");
     }
     #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 {
+    if backend() == Backend::Avx2 && lut.len() <= GATHER_MAX {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2; the
+        // asserts above make `lut` whole 256-entry tables, at most `GATHER_MAX`
+        // entries long, match `rows` to `out`, and put every indexed row inside
+        // `codes`.
         return unsafe { x86::lut_gather_rows_avx2(lut, codes, rows, out) };
     }
     striped::lut_gather_rows(lut, codes, rows, out)
@@ -491,6 +542,9 @@ pub fn lut_gather4_block(lut: &[u8], codes_t: &[u8], out: &mut [u32]) {
     );
     #[cfg(target_arch = "x86_64")]
     if backend() == Backend::Avx2 {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and the
+        // asserts above make `lut` whole 16-entry tables and `codes_t` one code
+        // per table for each of the `out.len()` rows.
         return unsafe { x86::lut_gather4_block_avx2(lut, codes_t, out) };
     }
     striped::lut_gather4_block(lut, codes_t, out)
@@ -505,7 +559,11 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_same_len(x, y);
     #[cfg(target_arch = "x86_64")]
     match backend() {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and
+        // `assert_same_len` above makes `x` and `y` equally long.
         Backend::Avx2 => return unsafe { x86::axpy_avx2(alpha, x, y) },
+        // SAFETY: `backend()` is `Sse2` only on x86_64, where SSE2 is baseline;
+        // lengths as above.
         Backend::Sse2 => return unsafe { x86::axpy_sse2(alpha, x, y) },
         Backend::Scalar => {}
     }
@@ -520,7 +578,11 @@ pub fn add(y: &mut [f32], x: &[f32]) {
     assert_same_len(x, y);
     #[cfg(target_arch = "x86_64")]
     match backend() {
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and
+        // `assert_same_len` above makes `x` and `y` equally long.
         Backend::Avx2 => return unsafe { x86::add_avx2(y, x) },
+        // SAFETY: `backend()` is `Sse2` only on x86_64, where SSE2 is baseline;
+        // lengths as above.
         Backend::Sse2 => return unsafe { x86::add_sse2(y, x) },
         Backend::Scalar => {}
     }
@@ -577,6 +639,8 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
     if backend() == Backend::Avx2 {
         // SSE2 gets no bespoke gemm: LLVM already vectorizes the striped
         // microkernel with 128-bit ops, and the win there is marginal.
+        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and the
+        // asserts above make `a`, `b` and `out` exactly m×k, k×n and m×n.
         return unsafe { x86::gemm_avx2(m, k, n, a, b, out) };
     }
     striped::gemm(m, k, n, a, b, out)
@@ -877,6 +941,9 @@ mod x86 {
 
     // ---- dot ------------------------------------------------------------
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `a` and `b` must have the same length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
@@ -898,6 +965,10 @@ mod x86 {
         reduce8(lanes)
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, as every x86_64 CPU does. `a` and `b` must
+    /// have the same length.
     #[target_feature(enable = "sse2")]
     pub unsafe fn dot_sse2(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
@@ -925,6 +996,9 @@ mod x86 {
 
     // ---- sum_sq ---------------------------------------------------------
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub unsafe fn sum_sq_avx2(v: &[f32]) -> f32 {
         let n = v.len();
@@ -946,6 +1020,9 @@ mod x86 {
         reduce8(lanes)
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, as every x86_64 CPU does.
     #[target_feature(enable = "sse2")]
     pub unsafe fn sum_sq_sse2(v: &[f32]) -> f32 {
         let n = v.len();
@@ -973,6 +1050,9 @@ mod x86 {
 
     // ---- l2_sq ----------------------------------------------------------
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `a` and `b` must have the same length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn l2_sq_avx2(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
@@ -994,6 +1074,10 @@ mod x86 {
         reduce8(lanes)
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, as every x86_64 CPU does. `a` and `b` must
+    /// have the same length.
     #[target_feature(enable = "sse2")]
     pub unsafe fn l2_sq_sse2(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
@@ -1021,6 +1105,9 @@ mod x86 {
 
     // ---- dot_norms ------------------------------------------------------
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `a` and `b` must have the same length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot_norms_avx2(a: &[f32], b: &[f32]) -> (f32, f32, f32) {
         let n = a.len();
@@ -1053,6 +1140,10 @@ mod x86 {
         (reduce8(ld), reduce8(la), reduce8(lb))
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, as every x86_64 CPU does. `a` and `b` must
+    /// have the same length.
     #[target_feature(enable = "sse2")]
     pub unsafe fn dot_norms_sse2(a: &[f32], b: &[f32]) -> (f32, f32, f32) {
         let n = a.len();
@@ -1101,6 +1192,11 @@ mod x86 {
     /// Four independent striped-dot accumulator chains sharing each query
     /// load. Per row the accumulation is exactly [`dot_avx2`]; the speedup
     /// is inter-dot instruction-level parallelism, not a different order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `panel.len()` must equal `query.len() *
+    /// out.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot_block_avx2(query: &[f32], panel: &[f32], out: &mut [f32]) {
         let d = query.len();
@@ -1153,6 +1249,10 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, as every x86_64 CPU does. `panel.len()` must
+    /// equal `query.len() * out.len()`.
     #[target_feature(enable = "sse2")]
     pub unsafe fn dot_block_sse2(query: &[f32], panel: &[f32], out: &mut [f32]) {
         let d = query.len();
@@ -1203,6 +1303,10 @@ mod x86 {
     /// int8 dot via sign-extension to i16 and `madd` (pairs of i16 products
     /// summed into i32 lanes). Integer adds are associative, so the lane
     /// layout is free to differ from scalar — the result is exact either way.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `a` and `b` must have the same length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
         let n = a.len();
@@ -1230,6 +1334,11 @@ mod x86 {
     /// `madd`-accumulator chains (inter-dot ILP), and a 3-`hadd` transpose
     /// reduces all four accumulators at once instead of four lane spills.
     /// Integer adds are associative, so the result is exact either way.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Each of `p0`–`p3` must be valid for reads of
+    /// `query.len()` elements.
     #[target_feature(enable = "avx2")]
     unsafe fn dot_i8_quad_avx2(
         query: &[i8],
@@ -1272,6 +1381,10 @@ mod x86 {
     /// Transposes four 8-lane i32 accumulators into their four total sums:
     /// `hadd(hadd(a0,a1), hadd(a2,a3))` leaves `[a0 a1 a2 a3]` partials in
     /// each 128-bit half, and one final add folds the halves.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     unsafe fn reduce_quad_epi32(
         a0: __m256i,
@@ -1290,6 +1403,11 @@ mod x86 {
 
     /// Blocked int8 dots: quad rows share query conversions, the tail runs
     /// the single-row kernel. See [`super::dot_i8_block`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `panel.len()` must equal `query.len() *
+    /// out.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot_i8_block_avx2(query: &[i8], panel: &[i8], out: &mut [i32]) {
         let d = query.len();
@@ -1317,6 +1435,12 @@ mod x86 {
 
     /// Row-indexed int8 dots straight off the flat code store. See
     /// [`super::dot_i8_rows`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `rows.len()` must equal `out.len()`, and
+    /// every `r` in `rows` must satisfy `(r + 1) * query.len() <= codes.len()`
+    /// without overflow.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot_i8_rows_avx2(query: &[i8], codes: &[i8], rows: &[usize], out: &mut [i32]) {
         let d = query.len();
@@ -1347,6 +1471,11 @@ mod x86 {
     /// table offsets and one gather pulls eight fixed-point entries at once.
     /// Integer adds are associative, so the lane layout is free to differ
     /// from scalar — the sum is exact either way.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `lut.len()` must equal `codes.len() * 256`
+    /// and be at most `i32::MAX`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn lut_gather_avx2(lut: &[u32], codes: &[u8]) -> u32 {
         let m = codes.len();
@@ -1378,6 +1507,12 @@ mod x86 {
     /// transpose replaces four per-row lane spills — the reduction is the
     /// dominant cost at the PQ code widths (m = 8 is a single chunk).
     /// Wrapping integer adds are associative, so the sums are exact.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `lut.len()` must be a multiple of 256 and at
+    /// most `i32::MAX`, and each of `c0`–`c3` must be valid for reads of
+    /// `lut.len() / 256` bytes.
     #[target_feature(enable = "avx2")]
     unsafe fn lut_gather_quad_avx2(
         lut: &[u32],
@@ -1425,6 +1560,12 @@ mod x86 {
 
     /// Blocked 8-bit ADC: quad rows share gather offsets, the tail runs the
     /// single-row kernel. See [`super::lut_gather_block`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `lut.len()` must be a multiple of 256 and at
+    /// most `i32::MAX`, and `panel.len()` must equal `lut.len() / 256 *
+    /// out.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn lut_gather_block_avx2(lut: &[u32], panel: &[u8], out: &mut [u32]) {
         let m = lut.len() / 256;
@@ -1452,6 +1593,13 @@ mod x86 {
 
     /// Row-indexed 8-bit ADC sums straight off the flat code store. See
     /// [`super::lut_gather_rows`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `lut.len()` must be a multiple of 256 and at
+    /// most `i32::MAX`, `rows.len()` must equal `out.len()`, and every `r` in
+    /// `rows` must satisfy `(r + 1) * (lut.len() / 256) <= codes.len()` without
+    /// overflow.
     #[target_feature(enable = "avx2")]
     pub unsafe fn lut_gather_rows_avx2(lut: &[u32], codes: &[u8], rows: &[usize], out: &mut [u32]) {
         let m = lut.len() / 256;
@@ -1480,6 +1628,11 @@ mod x86 {
     /// both 128-bit lanes and one `pshufb` looks up 32 rows' nibbles at
     /// once; 32-row strips accumulate `u16` partials (exact for m ≤ 256)
     /// widened to `u32` at strip end.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `lut.len()` must be a multiple of 16, and
+    /// `codes_t.len()` must equal `lut.len() / 16 * out.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn lut_gather4_block_avx2(lut: &[u8], codes_t: &[u8], out: &mut [u32]) {
         let m = lut.len() / 16;
@@ -1531,6 +1684,9 @@ mod x86 {
 
     // ---- element-wise ---------------------------------------------------
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `x` and `y` must have the same length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
         let n = x.len();
@@ -1550,6 +1706,10 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, as every x86_64 CPU does. `x` and `y` must
+    /// have the same length.
     #[target_feature(enable = "sse2")]
     pub unsafe fn axpy_sse2(alpha: f32, x: &[f32], y: &mut [f32]) {
         let n = x.len();
@@ -1569,6 +1729,9 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `x` and `y` must have the same length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn add_avx2(y: &mut [f32], x: &[f32]) {
         let n = x.len();
@@ -1587,6 +1750,10 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, as every x86_64 CPU does. `x` and `y` must
+    /// have the same length.
     #[target_feature(enable = "sse2")]
     pub unsafe fn add_sse2(y: &mut [f32], x: &[f32]) {
         let n = x.len();
@@ -1613,6 +1780,11 @@ mod x86 {
     /// increasing `p` order, so the result is bit-identical to the scalar
     /// driver — the win is dropping the store-to-load forwarding chain the
     /// memory-accumulating microkernel pays on every `o[j] +=`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `a`, `b` and `out` must hold exactly `m * k`,
+    /// `k * n` and `m * n` elements.
     #[target_feature(enable = "avx2")]
     pub unsafe fn gemm_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
         let mut packed: Vec<f32> = Vec::new();
@@ -1647,6 +1819,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Rows `i..i + 4` must exist in `a` (rows of
+    /// `k`) and in `out` (rows of `n`), `pb + kb <= k`, `jb + nb <= n`, and
+    /// `panel` must hold at least `kb * nb` elements.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     unsafe fn gemm_micro4x16_avx2(
@@ -2117,6 +2294,24 @@ mod tests {
     #[should_panic(expected = "lut_gather: lut length")]
     fn lut_gather_rejects_mismatch() {
         lut_gather(&[0u32; 256], &[0, 1]);
+    }
+
+    /// A row index whose end offset `(r + 1) · 16` wraps to 0. Four of
+    /// them reach the 4-row kernels, which offset by `r · 16`.
+    const WRAPPING_ROW: usize = usize::MAX / 16;
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn dot_i8_rows_rejects_a_row_whose_offset_wraps() {
+        let mut out = [0i32; 4];
+        dot_i8_rows(&[1; 16], &[1; 32], &[WRAPPING_ROW; 4], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn lut_gather_rows_rejects_a_row_whose_offset_wraps() {
+        let mut out = [0u32; 4];
+        lut_gather_rows(&vec![1; 16 * 256], &[1; 32], &[WRAPPING_ROW; 4], &mut out);
     }
 
     #[test]
