@@ -5,6 +5,14 @@
 //! of those sign vectors, L2-normalized. By the Johnson–Lindenstrauss
 //! property, cosine similarity in the projected space approximates cosine
 //! similarity of the sparse TF bags — which is what the HNSW dedup consumes.
+//!
+//! The projection adds eight slots at a time: each byte of a stream word
+//! picks a row of `±1.0` signs from a 256-row table, and each slot adds
+//! `w * sign`. That product is exactly `±w`, and every slot still sums its
+//! features one at a time in bag order, so the lanes change how many adds
+//! run per instruction, never which adds happen or in what order: the
+//! vector is bit-identical to a per-bit loop (DESIGN.md §6, "Kernel
+//! determinism").
 
 use crate::features::{feature_bag, FeatureBag};
 use crate::vector::normalize_in_place;
@@ -37,6 +45,26 @@ impl Default for NgramEmbedder {
     }
 }
 
+/// `SIGNS[b][j]` is `1.0` when bit `j` of `b` is set and `-1.0` when it is
+/// clear: the signs of the eight slots that byte `b` of a stream word covers.
+static SIGNS: [[f32; 8]; 256] = sign_table();
+
+const fn sign_table() -> [[f32; 8]; 256] {
+    let mut table = [[-1.0f32; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            if (b >> j) & 1 == 1 {
+                table[b][j] = 1.0;
+            }
+            j += 1;
+        }
+        b += 1;
+    }
+    table
+}
+
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -58,23 +86,21 @@ impl NgramEmbedder {
     /// Projects an explicit feature bag (used when the caller already has
     /// IDF-reweighted features).
     pub fn project(&self, entries: &[(u64, f32)]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.dim];
+        // Padded to whole 8-slot lanes; the padding is cut before normalizing.
+        let mut out = vec![0.0f32; self.dim.next_multiple_of(8)];
         for &(h, w) in entries {
             let mut state = h ^ self.seed;
-            // Consume 64 sign bits at a time.
-            let mut bits = 0u64;
-            let mut remaining = 0u32;
-            for slot in out.iter_mut() {
-                if remaining == 0 {
-                    bits = splitmix64(&mut state);
-                    remaining = 64;
+            // One stream word signs 64 slots: bit j of byte k signs slot 8k + j.
+            for block in out.chunks_mut(64) {
+                let word = splitmix64(&mut state);
+                for (lanes, byte) in block.chunks_exact_mut(8).zip(word.to_le_bytes()) {
+                    for (slot, sign) in lanes.iter_mut().zip(SIGNS[usize::from(byte)]) {
+                        *slot += w * sign;
+                    }
                 }
-                let sign = if bits & 1 == 1 { w } else { -w };
-                *slot += sign;
-                bits >>= 1;
-                remaining -= 1;
             }
         }
+        out.truncate(self.dim);
         normalize_in_place(&mut out);
         out
     }

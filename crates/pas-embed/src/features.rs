@@ -5,10 +5,16 @@
 //! Words carry more weight than character grams (they are more
 //! discriminative); character grams provide robustness to small edits and
 //! typos, which is what makes near-duplicates land close together.
+//!
+//! Extraction allocates nothing per feature. Words are hashed from one
+//! reused buffer ([`pas_text::for_each_word`]). A trigram is hashed straight
+//! from the normalized text's bytes: three consecutive chars are one
+//! contiguous UTF-8 slice, so hashing that slice gives the same value as
+//! hashing a `String` built from the three chars.
 
-use pas_text::hash::{fx_combine, fx_hash_str};
+use pas_text::for_each_word;
+use pas_text::hash::{fx_combine, fx_hash_bytes, fx_hash_str};
 use pas_text::normalize::normalize_for_dedup;
-use pas_text::{char_ngrams, words};
 
 /// Namespace tags keep word features and char-gram features from colliding.
 const NS_WORD: u64 = 0x57_4f_52_44; // "WORD"
@@ -46,23 +52,41 @@ impl FeatureBag {
 /// Extracts the hashed feature bag of `text`.
 pub fn feature_bag(text: &str) -> FeatureBag {
     let canonical = normalize_for_dedup(text);
-    let mut raw: Vec<(u64, f32)> = Vec::new();
-    for w in words(&canonical) {
-        raw.push((fx_combine(NS_WORD, fx_hash_str(&w)), WORD_WEIGHT));
-    }
-    for g in char_ngrams(&canonical, 3) {
-        raw.push((fx_combine(NS_CHAR, fx_hash_str(&g)), CHAR_WEIGHT));
-    }
-    raw.sort_unstable_by_key(|&(h, _)| h);
-    // Aggregate duplicate features.
-    let mut entries: Vec<(u64, f32)> = Vec::with_capacity(raw.len());
-    for (h, w) in raw {
-        match entries.last_mut() {
-            Some((lh, lw)) if *lh == h => *lw += w,
-            _ => entries.push((h, w)),
+    let mut entries: Vec<(u64, f32)> = Vec::new();
+    for_each_word(&canonical, |w| {
+        entries.push((fx_combine(NS_WORD, fx_hash_str(w)), WORD_WEIGHT));
+    });
+    for_each_trigram(&canonical, |g| {
+        entries.push((fx_combine(NS_CHAR, fx_hash_bytes(g)), CHAR_WEIGHT));
+    });
+    entries.sort_unstable_by_key(|&(h, _)| h);
+    // Aggregate duplicate features: `dedup_by` hands each later entry of a
+    // run to the first one, in order.
+    entries.dedup_by(|later, first| {
+        let same = later.0 == first.0;
+        if same {
+            first.1 += later.1;
         }
-    }
+        same
+    });
     FeatureBag { entries }
+}
+
+/// Calls `f` with the bytes of each character trigram of `text`, in order.
+/// A non-empty text shorter than three chars is one gram of its own.
+fn for_each_trigram(text: &str, mut f: impl FnMut(&[u8])) {
+    let bytes = text.as_bytes();
+    // Trigram k runs from the start of char k to the end of char k + 2.
+    let mut ends = text.char_indices().skip(2).map(|(i, c)| i + c.len_utf8()).peekable();
+    if ends.peek().is_none() {
+        if !bytes.is_empty() {
+            f(bytes);
+        }
+        return;
+    }
+    for (start, end) in text.char_indices().map(|(i, _)| i).zip(ends) {
+        f(&bytes[start..end]);
+    }
 }
 
 #[cfg(test)]

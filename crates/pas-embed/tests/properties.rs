@@ -4,8 +4,47 @@ use proptest::prelude::*;
 
 use pas_embed::{cosine, feature_bag, l2_norm, Embedder, EmbeddingCache, IdfModel, NgramEmbedder};
 
+mod reference;
+
+use reference::{bag_bits, bits};
+
+/// Output widths around the 8-slot lane and the 64-slot stream word.
+const DIMS: [usize; 8] = [1, 7, 8, 17, 63, 64, 65, 130];
+
+/// Printable ASCII plus chars whose lowercase, case class or width is
+/// unusual: `İ` lowercases to two chars, `Σ` to a final or medial sigma,
+/// `ǅ` is titlecase, `Ⅻ` and `٣` are non-Latin alphanumerics, U+0301 is a
+/// combining mark, U+00A0 is whitespace, and the rest are 2- to 4-byte
+/// UTF-8.
+const TEXT: &str = "[ -~\t\nİΣσςǅⅫ٣\u{301}\u{a0}ßé雪🙂]{0,160}";
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The served bag and projection against the plain per-gram,
+    // per-bit reference: the same entries and the same vector bits at
+    // every width. The IDF-reweighted bag carries weights that are not
+    // small integers, so a sum added in another order would show.
+    #[test]
+    fn bags_and_projections_match_the_reference_bit_for_bit(
+        text in TEXT,
+        corpus in prop::collection::vec(TEXT, 0..4),
+        seed in 0u64..u64::MAX,
+    ) {
+        let want = reference::feature_bag(&text);
+        let bag = feature_bag(&text);
+        prop_assert_eq!(bag_bits(bag.entries()), bag_bits(&want));
+        let bags: Vec<_> = corpus.iter().map(|d| feature_bag(d)).chain([bag.clone()]).collect();
+        let reweighted = IdfModel::fit(bags.iter()).reweight(&bag);
+        for dim in DIMS {
+            let e = NgramEmbedder::new(dim, seed);
+            prop_assert_eq!(bits(&e.embed(&text)), bits(&reference::project(dim, seed, &want)));
+            prop_assert_eq!(
+                bits(&e.project(&reweighted)),
+                bits(&reference::project(dim, seed, &reweighted))
+            );
+        }
+    }
 
     #[test]
     fn embeddings_are_unit_or_zero(s in ".{0,120}") {

@@ -17,7 +17,7 @@ pub mod template;
 pub use hash::{fx_hash_bytes, fx_hash_str, FxHasher};
 pub use keywords::{content_words, keyword_overlap, top_keywords};
 pub use lang::{detect_language, Language};
-pub use ngram::{char_ngrams, word_ngrams, word_shingle_hashes};
+pub use ngram::{word_ngrams, word_shingle_hashes};
 pub use normalize::{collapse_whitespace, normalize_for_dedup, strip_punctuation};
 pub use similarity::{dice_coefficient, jaccard_words, levenshtein, normalized_levenshtein};
 pub use template::{Template, TemplateError};
@@ -29,6 +29,14 @@ pub use template::{Template, TemplateError};
 /// boundaries.
 pub fn words(text: &str) -> Vec<String> {
     let mut out = Vec::new();
+    for_each_word(text, |w| out.push(w.to_owned()));
+    out
+}
+
+/// Calls `f` with each token [`words`] returns, in order, lowercased into
+/// one reused buffer, so a caller that only hashes the tokens allocates
+/// none of them.
+pub fn for_each_word(text: &str, mut f: impl FnMut(&str)) {
     let mut cur = String::new();
     for ch in text.chars() {
         if ch.is_alphanumeric() {
@@ -36,13 +44,13 @@ pub fn words(text: &str) -> Vec<String> {
                 cur.push(lc);
             }
         } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
+            f(&cur);
+            cur.clear();
         }
     }
     if !cur.is_empty() {
-        out.push(cur);
+        f(&cur);
     }
-    out
 }
 
 #[cfg(test)]

@@ -1,26 +1,12 @@
-//! N-gram extraction over characters and words.
+//! Word n-gram extraction.
 //!
-//! Character n-grams feed the hashing embedder in `pas-embed`; word shingles
-//! feed near-duplicate detection. Both operate on the canonical word stream
-//! from [`crate::words`] so the representations line up across crates.
+//! Word shingles feed near-duplicate detection. They operate on the
+//! canonical word stream from [`crate::words`] so the representations line
+//! up across crates. (The embedder in `pas-embed` hashes its character
+//! trigrams in place, without building gram strings.)
 
 use crate::hash::{fx_combine, fx_hash_str};
 use crate::words;
-
-/// Returns the character `n`-grams of `text` (over the raw char stream,
-/// including spaces). Returns the whole text as a single gram when it is
-/// shorter than `n`.
-pub fn char_ngrams(text: &str, n: usize) -> Vec<String> {
-    assert!(n > 0, "n-gram size must be positive");
-    let chars: Vec<char> = text.chars().collect();
-    if chars.is_empty() {
-        return Vec::new();
-    }
-    if chars.len() <= n {
-        return vec![chars.iter().collect()];
-    }
-    (0..=chars.len() - n).map(|i| chars[i..i + n].iter().collect()).collect()
-}
 
 /// Returns the word `n`-grams of `text`, joined with single spaces.
 pub fn word_ngrams(text: &str, n: usize) -> Vec<String> {
@@ -59,17 +45,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn char_ngrams_basic() {
-        assert_eq!(char_ngrams("abcd", 2), vec!["ab", "bc", "cd"]);
-    }
-
-    #[test]
-    fn char_ngrams_short_input_returns_whole() {
-        assert_eq!(char_ngrams("ab", 3), vec!["ab"]);
-        assert!(char_ngrams("", 3).is_empty());
-    }
-
-    #[test]
     fn word_ngrams_basic() {
         assert_eq!(
             word_ngrams("the quick brown fox", 2),
@@ -90,12 +65,6 @@ mod tests {
     #[test]
     fn shingle_hashes_are_order_sensitive() {
         assert_ne!(word_shingle_hashes("a b c", 3), word_shingle_hashes("c b a", 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_n_panics() {
-        char_ngrams("abc", 0);
     }
 
     #[test]
