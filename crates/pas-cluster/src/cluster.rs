@@ -2,12 +2,18 @@
 //! cross-shard forwards, seeded network chaos, membership changes with
 //! state hand-off, and fleet accounting.
 //!
-//! One [`EventHeap`] drives the whole fleet. Requests arrive at their
-//! workload's node (the *ingress*); the key's HRW candidate list decides
-//! where they are served:
+//! One [`EventHeap`] drives the whole fleet; its arrival schedule holds
+//! every node's workload. Each node serves through its own
+//! [`pas_gateway::ServingCore`], the core a single `Gateway` drives, and
+//! this loop keeps only what a fleet adds: a node's cache hits and
+//! batches complete through `CacheServe`/`BatchDone` events, answers
+//! travel back to the ingress, a node installs only while it is part of
+//! the fleet, and installs fan out. Requests arrive at their workload's
+//! node (the *ingress*); the key's HRW candidate list decides where they
+//! are served:
 //!
-//! - ingress ∈ candidates → served locally (lookup, queue, batch — the
-//!   single-node path from `pas-gateway`, now per node).
+//! - ingress ∈ candidates → served locally (lookup, admission, queue,
+//!   batch: the node's core).
 //! - otherwise → *forwarded* to the first reachable candidate. A hedge
 //!   timer arms: if no response lands within `hedge_ms`, a backup probe
 //!   goes to the next candidate (first response wins, losers are
@@ -54,13 +60,12 @@ use std::collections::BTreeMap;
 use pas_core::PromptOptimizer;
 use pas_fault::{MsgLane, NetFaultProfile, NetFaults};
 use pas_gateway::{
-    entry_hash, AdmissionPolicy, CacheOutcome, EventHeap, GatewayConfig, GatewayReport, Request,
-    ServeOutcome, WorkloadConfig,
+    entry_hash, Batch, EventHeap, GatewayConfig, GatewayReport, Request, WorkloadConfig,
 };
 
 use crate::gossip::{GossipTuning, NodeStatus};
 use crate::hrw;
-use crate::node::{Item, Node};
+use crate::node::Node;
 use crate::report::ClusterReport;
 
 // Aggregate counters are charged once per run from the finished report,
@@ -255,10 +260,7 @@ pub(crate) enum Ev {
     },
     BatchDone {
         node: u32,
-        replica: usize,
-        members: Vec<Item>,
-        unique_of: Vec<usize>,
-        outcomes: Vec<ServeOutcome>,
+        batch: Batch,
     },
     Hedge {
         req: usize,
@@ -339,14 +341,21 @@ impl<O: PromptOptimizer> Cluster<O> {
 
     /// Live entries in `node`'s semantic cache.
     pub fn cache_len(&self, node: u32) -> usize {
-        self.nodes[node as usize].cache.len()
+        self.nodes[node as usize].core.cache().len()
+    }
+
+    /// Prompts in flight on each of `node`'s replicas: all zero between
+    /// runs, once every dispatched batch has completed or been abandoned.
+    pub fn in_flight(&self, node: u32) -> &[u64] {
+        self.nodes[node as usize].core.pool().in_flight()
     }
 
     /// Every live `(prompt, response, version)` in `node`'s cache, sorted
     /// by prompt — the replica-convergence inspection export.
     pub fn cache_entries(&self, node: u32) -> Vec<(String, String, u64)> {
         let mut entries: Vec<(String, String, u64)> = self.nodes[node as usize]
-            .cache
+            .core
+            .cache()
             .live_entries_versioned()
             .into_iter()
             .map(|(p, r, v)| (p.to_string(), r.to_string(), v))
@@ -376,7 +385,7 @@ impl<O: PromptOptimizer> Cluster<O> {
         let mut span = pas_obs::span("cluster.run");
         span.items(workloads.iter().map(|w| w.len() as u64).sum());
         for node in self.nodes.iter_mut() {
-            node.begin_run();
+            node.core.begin_run();
         }
 
         let config = &self.config;
@@ -390,24 +399,13 @@ impl<O: PromptOptimizer> Cluster<O> {
             .chain(config.script.iter().map(|(at, _)| *at))
             .max()
             .unwrap_or(0);
-        let mut sim = Sim {
-            cfg: config,
-            tuning: config.gossip_tuning(),
-            horizon: traffic_end + config.quiet_ms,
-            nodes: &mut self.nodes,
-            reqs: Vec::new(),
-            events: EventHeap::new(),
-            net: NetFaults::new(config.net.clone(), config.net_seed),
-            msg_seq: [0; MsgLane::ALL.len()],
-            responses: workloads.iter().map(|w| vec![None; w.len()]).collect(),
-            stats: ClusterReport::default(),
-        };
-        // Arrivals node-major: same-time ties fire lowest-node-first, a
-        // pure function of the workloads.
-        for (ni, workload) in workloads.iter().enumerate() {
-            for (si, r) in workload.iter().enumerate() {
-                let id = sim.reqs.len();
-                sim.reqs.push(ReqCtx {
+        // Requests node-major: same-time arrivals fire lowest-node-first,
+        // a pure function of the workloads.
+        let reqs: Vec<ReqCtx> = workloads
+            .iter()
+            .enumerate()
+            .flat_map(|(ni, workload)| {
+                workload.iter().enumerate().map(move |(si, r)| ReqCtx {
                     node: ni,
                     slot: si,
                     prompt: r.prompt.clone(),
@@ -416,10 +414,21 @@ impl<O: PromptOptimizer> Cluster<O> {
                     candidates: Vec::new(),
                     primary: None,
                     done: false,
-                });
-                sim.events.push(r.arrival_ms, Ev::Arrival(id));
-            }
-        }
+                })
+            })
+            .collect();
+        let mut sim = Sim {
+            cfg: config,
+            tuning: config.gossip_tuning(),
+            horizon: traffic_end + config.quiet_ms,
+            nodes: &mut self.nodes,
+            events: EventHeap::with_arrivals(reqs.iter().map(|r| r.arrival_ms), Ev::Arrival),
+            reqs,
+            net: NetFaults::new(config.net.clone(), config.net_seed),
+            msg_seq: [0; MsgLane::ALL.len()],
+            responses: workloads.iter().map(|w| vec![None; w.len()]).collect(),
+            stats: ClusterReport::default(),
+        };
         for (k, (at_ms, _)) in config.script.iter().enumerate() {
             sim.events.push(*at_ms, Ev::Membership(k));
         }
@@ -448,8 +457,7 @@ impl<O: PromptOptimizer> Cluster<O> {
         self.last_now = now;
         report.nodes = self.nodes.len() as u64;
         for node in self.nodes.iter_mut() {
-            node.end_run(now);
-            report.per_node.push(node.report.clone());
+            report.per_node.push(node.core.finish_run(now));
         }
         let mut fleet = GatewayReport::default();
         for r in &report.per_node {
@@ -520,26 +528,19 @@ impl<O: PromptOptimizer> Sim<'_, O> {
 
     fn handle(&mut self, ev: Ev, now: u64) {
         match ev {
-            Ev::Arrival(req) => self.arrival(req, now),
+            Ev::Arrival(req) => self.ingest(req, now, false),
             Ev::Deliver { dst, msg } => self.deliver(dst, msg, now),
             Ev::Linger { node, req } => {
                 // Stale once the item left the queue (dispatched, shed, or
                 // completed elsewhere); a live fire flushes the queue.
-                if !self.reqs[req].done
-                    && self.nodes[node as usize].queue.iter().any(|it| it.req == req)
-                {
+                if !self.reqs[req].done && self.nodes[node as usize].core.is_queued(req) {
                     self.dispatch_node(node, now);
                 }
             }
             Ev::CacheServe { node, members } => {
                 if self.nodes[node as usize].crashed {
-                    // The serve died with the node; local clients retry
-                    // (forwarded requests are covered by their ingress
-                    // hedge/rescue chain instead).
                     for (req, _) in members {
-                        if self.reqs[req].ingress == node && !self.reqs[req].done {
-                            self.retry_after_crash(req, now);
-                        }
+                        self.orphaned(node, req, now);
                     }
                     return;
                 }
@@ -547,17 +548,7 @@ impl<O: PromptOptimizer> Sim<'_, O> {
                     self.complete_at(node, req, text, now);
                 }
             }
-            Ev::BatchDone { node, replica, members, unique_of, outcomes } => {
-                if self.nodes[node as usize].crashed {
-                    for it in members {
-                        if self.reqs[it.req].ingress == node && !self.reqs[it.req].done {
-                            self.retry_after_crash(it.req, now);
-                        }
-                    }
-                    return;
-                }
-                self.batch_done(node, replica, members, unique_of, outcomes, now)
-            }
+            Ev::BatchDone { node, batch } => self.batch_done(node, batch, now),
             Ev::Hedge { req, next } => self.hedge(req, next, now),
             Ev::Rescue { req } => self.rescue(req, now),
             Ev::Membership(k) => self.membership(k, now),
@@ -566,8 +557,13 @@ impl<O: PromptOptimizer> Sim<'_, O> {
         }
     }
 
-    fn arrival(&mut self, req: usize, now: u64) {
-        self.ingest(req, now, false)
+    /// A serve of `req` died with crashed node `n`. Its local client
+    /// retries; a forwarded request is covered by its ingress's
+    /// hedge/rescue chain instead.
+    fn orphaned(&mut self, n: u32, req: usize, now: u64) {
+        if self.reqs[req].ingress == n && !self.reqs[req].done {
+            self.retry_after_crash(req, now);
+        }
     }
 
     /// Re-drives a request orphaned by its node crashing: the client
@@ -587,7 +583,7 @@ impl<O: PromptOptimizer> Sim<'_, O> {
             let ingress = self.reqs[req].node as u32;
             self.reqs[req].ingress = ingress;
             if !retry {
-                self.nodes[ingress as usize].report.requests += 1;
+                self.nodes[ingress as usize].core.arrived();
             }
             self.stats.local_fallbacks += 1;
             if self.nodes[ingress as usize].crashed {
@@ -616,7 +612,7 @@ impl<O: PromptOptimizer> Sim<'_, O> {
         self.reqs[req].ingress = ingress;
         self.reqs[req].candidates = candidates.clone();
         if !retry {
-            self.nodes[ingress as usize].report.requests += 1;
+            self.nodes[ingress as usize].core.arrived();
         }
 
         if candidates.contains(&ingress) {
@@ -640,94 +636,63 @@ impl<O: PromptOptimizer> Sim<'_, O> {
     /// admission control, queue, batch timers.
     fn serve_local(&mut self, n: u32, req: usize, cacheable: bool, now: u64) {
         let cfg = &self.cfg.gateway;
-        match self.nodes[n as usize].cache.lookup(&self.reqs[req].prompt) {
-            CacheOutcome::ExactHit(response) | CacheOutcome::NearHit { response, .. } => {
-                self.events.push(
-                    now + cfg.cache_hit_cost_ms,
-                    Ev::CacheServe { node: n, members: vec![(req, response)] },
-                );
-            }
-            CacheOutcome::Miss => {
-                let node = &mut self.nodes[n as usize];
-                if node.queue.len() >= cfg.queue_capacity {
-                    match cfg.admission {
-                        AdmissionPolicy::Reject => {
-                            node.report.rejected += 1;
-                            let text = self.reqs[req].prompt.clone();
-                            self.complete_at(n, req, text, now);
-                            return;
-                        }
-                        AdmissionPolicy::ShedOldest => {
-                            let oldest = node.queue.pop_front().expect("full queue");
-                            node.report.shed += 1;
-                            let text = self.reqs[oldest.req].prompt.clone();
-                            self.complete_at(n, oldest.req, text, now);
-                        }
-                    }
-                }
-                let node = &mut self.nodes[n as usize];
-                node.queue.push_back(Item { req, cacheable });
-                if node.queue.len() >= cfg.batch_max {
-                    self.dispatch_node(n, now);
-                } else {
-                    self.events.push(now + cfg.batch_linger_ms, Ev::Linger { node: n, req });
-                }
-            }
+        let core = &mut self.nodes[n as usize].core;
+        if let Some(response) = core.lookup(&self.reqs[req].prompt) {
+            self.events.push(
+                now + cfg.cache_hit_cost_ms,
+                Ev::CacheServe { node: n, members: vec![(req, response)] },
+            );
+            return;
+        }
+        let admission = core.admit(req, cacheable);
+        if let Some(away) = admission.turned_away {
+            let text = self.reqs[away].prompt.clone();
+            self.complete_at(n, away, text, now);
+        }
+        if admission.dispatch {
+            self.dispatch_node(n, now);
+        } else if admission.queued {
+            self.events.push(now + cfg.batch_linger_ms, Ev::Linger { node: n, req });
         }
     }
 
     fn dispatch_node(&mut self, n: u32, now: u64) {
-        self.nodes[n as usize].dispatch(&self.reqs, &self.cfg.gateway, now, &mut self.events);
+        let reqs = &self.reqs;
+        self.nodes[n as usize].core.dispatch(
+            now,
+            |i| reqs[i].prompt.as_str(),
+            &mut self.events,
+            |members| Ev::CacheServe { node: n, members },
+            |batch| Ev::BatchDone { node: n, batch },
+        );
     }
 
-    fn batch_done(
-        &mut self,
-        n: u32,
-        replica: usize,
-        members: Vec<Item>,
-        unique_of: Vec<usize>,
-        outcomes: Vec<ServeOutcome>,
-        now: u64,
-    ) {
+    /// Node `n`'s batch completes: a crashed node abandons it and its
+    /// local clients retry. A live node installs the answers it owns,
+    /// answers every member, then fans its fresh installs out to the
+    /// other candidates, so hedged reads at replicas hit warm caches.
+    fn batch_done(&mut self, n: u32, batch: Batch, now: u64) {
         let node = &mut self.nodes[n as usize];
-        node.pool.finish(replica, outcomes.len() as u64);
-        // Cache and replica accounting go per unique prompt…
-        let mut installed: Vec<(usize, String)> = Vec::new();
-        for (u, outcome) in outcomes.iter().enumerate() {
-            let k = unique_of.iter().position(|&x| x == u).expect("owner");
-            if let ServeOutcome::Served { response, replica: served_by, failovers } = outcome {
-                // Install only entries this node owns (any cacheable
-                // member) and only while it is part of the fleet.
-                let owned = members.iter().zip(&unique_of).any(|(it, &uu)| uu == u && it.cacheable);
-                if owned
-                    && node.live
-                    && node.cache.insert_versioned(&self.reqs[members[k].req].prompt, response, 1)
-                {
-                    installed.push((members[k].req, response.clone()));
-                }
-                node.report.failovers += failovers;
-                let r = &mut node.report.per_replica[*served_by];
-                r.served += 1;
-                if *failovers > 0 {
-                    r.failover_served += 1;
-                }
+        if node.crashed {
+            for req in node.core.abandon(batch) {
+                self.orphaned(n, req, now);
             }
+            return;
         }
-        // …responses per member request…
-        for (k, it) in members.iter().enumerate() {
-            let outcome = &outcomes[unique_of[k]];
-            if *outcome == ServeOutcome::Degraded {
-                self.nodes[n as usize].report.degraded += 1;
-            }
-            let text = outcome.response_for(&self.reqs[it.req].prompt);
-            self.complete_at(n, it.req, text, now);
+        // Only a node still in the fleet installs what it served.
+        let reqs = &self.reqs;
+        let (responses, installed) =
+            node.core.complete(batch, node.live, |i| reqs[i].prompt.as_str());
+        let fanout: Vec<(usize, String)> = if self.cfg.repl_fanout {
+            installed.iter().map(|&k| responses[k].clone()).collect()
+        } else {
+            Vec::new()
+        };
+        for (req, text) in responses {
+            self.complete_at(n, req, text, now);
         }
-        // …then freshly installed entries fan out to the other
-        // candidates, so hedged reads at replicas hit warm caches.
-        if self.cfg.repl_fanout {
-            for (req, response) in installed {
-                self.fanout(n, req, &response, now);
-            }
+        for (req, response) in fanout {
+            self.fanout(n, req, &response, now);
         }
     }
 
@@ -778,9 +743,7 @@ impl<O: PromptOptimizer> Sim<'_, O> {
         };
         self.reqs[req].done = true;
         self.responses[node][slot] = Some(text);
-        let report = &mut self.nodes[ingress as usize].report;
-        report.completed += 1;
-        report.latency.record(now - arrival);
+        self.nodes[ingress as usize].core.answered(now - arrival);
         if primary.is_some_and(|p| server != p && server != ingress) {
             self.stats.hedges_won += 1;
         }
@@ -836,7 +799,11 @@ impl<O: PromptOptimizer> Sim<'_, O> {
                 if !hrw::candidates(&prompt, &view, self.cfg.replication).contains(&dst) {
                     return;
                 }
-                if self.nodes[dst as usize].cache.insert_versioned(&prompt, &response, version) {
+                if self.nodes[dst as usize]
+                    .core
+                    .cache_mut()
+                    .insert_versioned(&prompt, &response, version)
+                {
                     self.stats.repl_applied += 1;
                 } else {
                     // Same or newer version already present — duplicated
@@ -853,8 +820,10 @@ impl<O: PromptOptimizer> Sim<'_, O> {
                 // replicas still count — the entry reached its new
                 // primary, which is what the counter promises.
                 self.stats.rebalance_moved += 1;
-                let _ =
-                    self.nodes[dst as usize].cache.insert_versioned(&prompt, &response, version);
+                let _ = self.nodes[dst as usize]
+                    .core
+                    .cache_mut()
+                    .insert_versioned(&prompt, &response, version);
             }
             Msg::Digest { from, entries } => {
                 if !self.nodes[dst as usize].live {
@@ -870,7 +839,11 @@ impl<O: PromptOptimizer> Sim<'_, O> {
                 if !hrw::candidates(&prompt, &view, self.cfg.replication).contains(&dst) {
                     return;
                 }
-                if self.nodes[dst as usize].cache.insert_versioned(&prompt, &response, version) {
+                if self.nodes[dst as usize]
+                    .core
+                    .cache_mut()
+                    .insert_versioned(&prompt, &response, version)
+                {
                     self.stats.ae_repairs += 1;
                     self.stats.ae_last_repair_ms = self.stats.ae_last_repair_ms.max(now);
                 }
@@ -960,7 +933,7 @@ impl<O: PromptOptimizer> Sim<'_, O> {
                 // Graceful decommission: flush queued work (its batches
                 // complete in flight; responses still travel), then hand
                 // primaries off and depart.
-                while !self.nodes[n as usize].queue.is_empty() {
+                while self.nodes[n as usize].core.queued() > 0 {
                     self.dispatch_node(n, now);
                 }
                 if self.tuning.is_some() {
@@ -988,9 +961,7 @@ impl<O: PromptOptimizer> Sim<'_, O> {
                 // dies with the node; its clients retry against the
                 // surviving fleet (in-flight batch/cache events are
                 // similarly retried when they fire at the corpse).
-                let orphans: Vec<usize> =
-                    self.nodes[n as usize].queue.drain(..).map(|it| it.req).collect();
-                for req in orphans {
+                for req in self.nodes[n as usize].core.drain_queue() {
                     if !self.reqs[req].done {
                         self.retry_after_crash(req, now);
                     }
@@ -1018,7 +989,8 @@ impl<O: PromptOptimizer> Sim<'_, O> {
         type MoveSet = BTreeMap<(u32, u32), Vec<(String, String, u64)>>;
         let mut moves: MoveSet = BTreeMap::new();
         for &s in old_live {
-            for (prompt, response, version) in self.nodes[s as usize].cache.live_entries_versioned()
+            for (prompt, response, version) in
+                self.nodes[s as usize].core.cache().live_entries_versioned()
             {
                 if hrw::owner(prompt, old_live) != Some(s) {
                     continue;
@@ -1062,7 +1034,7 @@ impl<O: PromptOptimizer> Sim<'_, O> {
         let round = self.nodes[n as usize].ae_round;
         self.nodes[n as usize].ae_round += 1;
         let peer = peers[(round % peers.len() as u64) as usize];
-        let entries = self.nodes[n as usize].cache.digest();
+        let entries = self.nodes[n as usize].core.cache().digest();
         self.stats.ae_digests += 1;
         self.send(now, n, peer, Msg::Digest { from: n, entries });
     }
@@ -1074,7 +1046,9 @@ impl<O: PromptOptimizer> Sim<'_, O> {
     fn ae_respond(&mut self, b: u32, a: u32, digest: &[(u64, u64)], now: u64) {
         let view = self.routing_live(b, now);
         let mut repairs: Vec<(String, String, u64)> = Vec::new();
-        for (prompt, response, version) in self.nodes[b as usize].cache.live_entries_versioned() {
+        for (prompt, response, version) in
+            self.nodes[b as usize].core.cache().live_entries_versioned()
+        {
             let h = entry_hash(prompt);
             let theirs = digest.binary_search_by_key(&h, |e| e.0).ok().map(|i| digest[i].1);
             if theirs.is_some_and(|v| v >= version) {

@@ -1,6 +1,8 @@
 //! `pas-cluster`: a deterministic sharded multi-node gateway simulation.
 //!
-//! Runs N simulated `pas-gateway` nodes against one discrete-event loop:
+//! Runs N simulated gateway nodes against one discrete-event loop. Each
+//! node is a `pas_gateway::ServingCore` (the core a single `Gateway`
+//! drives) plus its id, liveness, gossip view and anti-entropy cursor:
 //!
 //! - [`hrw`] — rendezvous-hash sharding of the semantic cache: stable
 //!   candidate lists, minimal-disruption reassignment on join/leave.

@@ -1,38 +1,24 @@
-//! One simulated gateway node: the single-node serving core (semantic
-//! cache + replica pool + bounded queue + micro-batching) lifted out of
-//! `pas_gateway::Gateway` so the cluster loop can run N of them against
-//! one shared [`EventHeap`].
+//! One simulated gateway node: a `pas_gateway::ServingCore` (the same
+//! cache, replica pool, bounded queue and micro-batching a single
+//! `Gateway` drives) plus what only a fleet member has — its id, its
+//! liveness, its gossip view and its anti-entropy cursor.
 //!
-//! A node never talks to the network itself — it only serves what the
-//! cluster enqueues on it and schedules its own `CacheServe`/`BatchDone`
-//! events. Cross-node concerns (routing, hedging, responses, accounting
-//! at the ingress) live in [`crate::cluster`].
-
-use std::collections::VecDeque;
+//! A node never talks to the network itself. The cluster loop in
+//! [`crate::cluster`] drives its core, schedules its `CacheServe` and
+//! `BatchDone` events on the fleet's one [`pas_gateway::EventHeap`], and
+//! owns everything cross-node: routing, hedging, and answering at the
+//! ingress.
 
 use pas_core::PromptOptimizer;
 use pas_fault::FaultConfig;
-use pas_gateway::{
-    cache_embedder, EventHeap, GatewayCache, GatewayConfig, GatewayReport, ReplicaPool,
-    ReplicaReport, SemanticCache,
-};
+use pas_gateway::{cache_embedder, GatewayConfig, SemanticCache, ServingCore};
 
-use crate::cluster::{Ev, ReqCtx};
 use crate::gossip::View;
 
 /// Derivation lane for per-node fault seeds: every node's replica pool
 /// draws its chaos from `derive(gateway.fault.seed, [NODE_FAULT_LANE,
 /// node])`, so no two nodes fault on correlated schedules.
 pub(crate) const NODE_FAULT_LANE: u64 = 0xc105;
-
-/// One queued request on a node. `cacheable` is false for passthrough
-/// serves (full-partition fallbacks, rescues) — a non-owner must not
-/// install entries it was never assigned.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Item {
-    pub req: usize,
-    pub cacheable: bool,
-}
 
 /// A simulated gateway node.
 pub(crate) struct Node<O: PromptOptimizer> {
@@ -47,159 +33,28 @@ pub(crate) struct Node<O: PromptOptimizer> {
     pub view: View,
     /// Anti-entropy round counter: drives the round-robin peer rotation.
     pub ae_round: u64,
-    pub cache: GatewayCache,
-    pub pool: ReplicaPool<O>,
-    pub queue: VecDeque<Item>,
-    pub report: GatewayReport,
-    base_hits: u64,
-    base_near: u64,
-    base_misses: u64,
-    base_evictions: u64,
+    pub core: ServingCore<O>,
 }
 
 impl<O: PromptOptimizer> Node<O> {
     /// Builds node `id` with a fresh cache and a pool whose fault seed is
     /// derived per node (decorrelated chaos across the fleet).
     pub fn new(id: u32, config: &GatewayConfig, optimizers: Vec<O>) -> Self {
-        assert!(!optimizers.is_empty(), "node needs at least one replica");
-        assert!(config.batch_max > 0, "batch_max must be positive");
-        let fault = FaultConfig {
-            seed: pas_par::derive_seed_path(config.fault.seed, &[NODE_FAULT_LANE, u64::from(id)]),
-            ..config.fault.clone()
+        let config = GatewayConfig {
+            fault: FaultConfig {
+                seed: pas_par::derive_seed_path(config.fault.seed, &[NODE_FAULT_LANE, id.into()]),
+                ..config.fault.clone()
+            },
+            ..config.clone()
         };
-        let embedder = cache_embedder(&config.cache);
-        let cache = SemanticCache::new(config.cache.clone(), embedder);
-        let pool = ReplicaPool::new(optimizers, &fault, &config.replica_profiles);
+        let cache = SemanticCache::new(config.cache.clone(), cache_embedder(&config.cache));
         Node {
             id,
             live: true,
             crashed: false,
             view: View::new(id, &[]),
             ae_round: 0,
-            cache,
-            pool,
-            queue: VecDeque::new(),
-            report: GatewayReport::default(),
-            base_hits: 0,
-            base_near: 0,
-            base_misses: 0,
-            base_evictions: 0,
+            core: ServingCore::new(config, optimizers, cache),
         }
-    }
-
-    /// Resets the per-run report and pins the cache-counter baseline (the
-    /// cache is cumulative and survives across runs; the report holds this
-    /// run's delta, exactly like `Gateway::run`).
-    pub fn begin_run(&mut self) {
-        self.report = GatewayReport {
-            per_replica: vec![ReplicaReport::default(); self.pool.len()],
-            ..GatewayReport::default()
-        };
-        self.base_hits = self.cache.hits();
-        self.base_near = self.cache.near_hits();
-        self.base_misses = self.cache.misses();
-        self.base_evictions = self.cache.evictions();
-    }
-
-    /// Fills the delta/absolute fields the loop doesn't maintain online.
-    pub fn end_run(&mut self, now: u64) {
-        self.report.exact_hits = self.cache.hits() - self.base_hits;
-        self.report.near_hits = self.cache.near_hits() - self.base_near;
-        self.report.misses = self.cache.misses() - self.base_misses;
-        self.report.evictions = self.cache.evictions() - self.base_evictions;
-        self.report.sim_duration_ms = now;
-        for (r, faults) in self.report.per_replica.iter_mut().zip(self.pool.fault_reports()) {
-            r.faults = faults;
-        }
-    }
-
-    /// Pops up to `batch_max` queued items, dedupes their prompts
-    /// (first-occurrence order), gives every unique prompt a second-chance
-    /// batched cache probe, serves the remaining uniques through the pool
-    /// in parallel (the loop's only parallel region), and schedules the
-    /// `CacheServe`/`BatchDone` events. Mirrors `Gateway::dispatch`.
-    pub fn dispatch(
-        &mut self,
-        reqs: &[ReqCtx],
-        cfg: &GatewayConfig,
-        now: u64,
-        events: &mut EventHeap<Ev>,
-    ) {
-        let take = self.queue.len().min(cfg.batch_max);
-        if take == 0 {
-            return;
-        }
-        let members: Vec<Item> = self.queue.drain(..take).collect();
-        let mut unique: Vec<&str> = Vec::new();
-        let unique_of: Vec<usize> = members
-            .iter()
-            .map(|it| {
-                let p = reqs[it.req].prompt.as_str();
-                match unique.iter().position(|&q| q == p) {
-                    Some(u) => u,
-                    None => {
-                        unique.push(p);
-                        unique.len() - 1
-                    }
-                }
-            })
-            .collect();
-
-        // Second-chance probe: an earlier batch (or a rebalance hand-off)
-        // may have cached the prompt while these items queued.
-        let cached = self.cache.lookup_batch(&unique);
-        let mut live_unique: Vec<&str> = Vec::new();
-        let remap: Vec<Option<usize>> = cached
-            .iter()
-            .enumerate()
-            .map(|(u, c)| {
-                if c.is_none() {
-                    live_unique.push(unique[u]);
-                    Some(live_unique.len() - 1)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let mut hit_members = Vec::new();
-        let mut live_members = Vec::new();
-        let mut live_unique_of = Vec::new();
-        for (k, it) in members.iter().enumerate() {
-            match &cached[unique_of[k]] {
-                Some(response) => hit_members.push((it.req, response.clone())),
-                None => {
-                    live_members.push(*it);
-                    live_unique_of.push(remap[unique_of[k]].expect("missed uniques are live"));
-                }
-            }
-        }
-        if !hit_members.is_empty() {
-            self.report.batch_hits += hit_members.len() as u64;
-            events.push(
-                now + cfg.cache_hit_cost_ms,
-                Ev::CacheServe { node: self.id, members: hit_members },
-            );
-        }
-        if live_unique.is_empty() {
-            return;
-        }
-
-        let replica = self.pool.route();
-        self.pool.begin(replica, live_unique.len() as u64);
-        let pool = &self.pool;
-        let outcomes = pas_par::par_map(&live_unique, |_, p| pool.try_serve(replica, p));
-        self.report.batches += 1;
-        self.report.batched_prompts += live_unique.len() as u64;
-        let cost = cfg.batch_overhead_ms + cfg.per_prompt_cost_ms * live_unique.len() as u64;
-        events.push(
-            now + cost,
-            Ev::BatchDone {
-                node: self.id,
-                replica,
-                members: live_members,
-                unique_of: live_unique_of,
-                outcomes,
-            },
-        );
     }
 }

@@ -18,42 +18,20 @@
 //! installs fresh complements into the cache, and accounts latency.
 //! Degraded results (full-pool exhaustion) are served as passthrough but
 //! *never cached* — caching one would keep poisoning hits after the pool
-//! recovers.
-
-use std::collections::VecDeque;
+//! recovers. Every step but the answer itself is a
+//! [`ServingCore`](crate::ServingCore) job; [`Gateway::run`] only answers
+//! in place and schedules the core's timers. An arrival hit is answered
+//! at once, with no event of its own.
 
 use pas_core::PromptOptimizer;
 use pas_embed::{EmbeddingCache, NgramEmbedder};
 use pas_fault::{FaultConfig, FaultProfile};
 
-use crate::cache::{CacheOutcome, SemanticCache, SemanticCacheConfig};
-use crate::pool::{ReplicaPool, ServeOutcome};
-use crate::report::{GatewayReport, ReplicaReport};
+use crate::cache::{SemanticCache, SemanticCacheConfig};
+use crate::report::GatewayReport;
+use crate::serving::{Batch, ServingCore};
 use crate::sim::EventHeap;
 use crate::workload::Request;
-
-// Observability. Every recording below happens on the (serial) event-loop
-// thread — the only parallel region is `ReplicaPool::try_serve` inside
-// `dispatch`, which records nothing — so gauges are safe and the metrics
-// are as deterministic as the loop itself. Aggregate counters are charged
-// once per run from the finished report rather than per event.
-static OBS_REQUESTS: pas_obs::Counter = pas_obs::Counter::new("gateway.requests");
-static OBS_COMPLETED: pas_obs::Counter = pas_obs::Counter::new("gateway.completed");
-static OBS_EXACT_HITS: pas_obs::Counter = pas_obs::Counter::new("gateway.cache.exact_hits");
-static OBS_NEAR_HITS: pas_obs::Counter = pas_obs::Counter::new("gateway.cache.near_hits");
-static OBS_MISSES: pas_obs::Counter = pas_obs::Counter::new("gateway.cache.misses");
-static OBS_BATCH_HITS: pas_obs::Counter = pas_obs::Counter::new("gateway.cache.batch_hits");
-static OBS_EVICTIONS: pas_obs::Counter = pas_obs::Counter::new("gateway.cache.evictions");
-static OBS_SHED: pas_obs::Counter = pas_obs::Counter::new("gateway.shed");
-static OBS_REJECTED: pas_obs::Counter = pas_obs::Counter::new("gateway.rejected");
-static OBS_DEGRADED: pas_obs::Counter = pas_obs::Counter::new("gateway.degraded");
-static OBS_FAILOVERS: pas_obs::Counter = pas_obs::Counter::new("gateway.failovers");
-static OBS_BATCHES: pas_obs::Counter = pas_obs::Counter::new("gateway.batches");
-static OBS_BATCHED_PROMPTS: pas_obs::Counter = pas_obs::Counter::new("gateway.batched_prompts");
-static OBS_BATCH_SIZE: pas_obs::Histogram = pas_obs::Histogram::new("gateway.batch.size");
-static OBS_LATENCY: pas_obs::Histogram = pas_obs::Histogram::new("gateway.latency_ms");
-static OBS_QUEUE_DEPTH: pas_obs::Gauge = pas_obs::Gauge::new("gateway.queue.depth");
-static OBS_POOL_HEALTHY: pas_obs::Gauge = pas_obs::Gauge::new("gateway.pool.healthy");
 
 /// What to do with a cache-miss arrival when the queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,25 +97,9 @@ enum Event {
     LingerFire(usize),
     /// Batch members whose prompt turned out cached by dispatch time
     /// (second-chance hits) complete without touching the pool.
-    CacheServe { members: Vec<usize>, responses: Vec<String> },
-    /// A dispatched batch completes on `replica`. `members` are the
-    /// requests it answers, `outcomes` one per unique prompt, and
-    /// `unique_of[k]` maps member `k` to its outcome index.
-    Completion {
-        replica: usize,
-        members: Vec<usize>,
-        unique_of: Vec<usize>,
-        outcomes: Vec<ServeOutcome>,
-    },
-}
-
-/// Per-request lifecycle marker, driving linger-timer validation.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ReqState {
-    Pending,
-    Queued,
-    Dispatched,
-    Done,
+    CacheServe(Vec<(usize, String)>),
+    /// A dispatched batch completes.
+    Completion(Batch),
 }
 
 /// The embedder-plus-memo stack the gateway's cache runs on: repeated
@@ -156,9 +118,7 @@ pub fn cache_embedder(cache: &SemanticCacheConfig) -> EmbeddingCache<NgramEmbedd
 /// test; [`Gateway::run`] consumes a workload and yields every response
 /// plus the aggregate [`GatewayReport`].
 pub struct Gateway<O: PromptOptimizer> {
-    config: GatewayConfig,
-    pool: ReplicaPool<O>,
-    cache: GatewayCache,
+    core: ServingCore<O>,
 }
 
 impl<O: PromptOptimizer> Gateway<O> {
@@ -176,26 +136,23 @@ impl<O: PromptOptimizer> Gateway<O> {
     /// cache's own construction-time config governs its behaviour;
     /// `config.cache` is not re-applied.
     pub fn with_cache(config: GatewayConfig, optimizers: Vec<O>, cache: GatewayCache) -> Self {
-        assert!(!optimizers.is_empty(), "gateway needs at least one replica");
-        assert!(config.batch_max > 0, "batch_max must be positive");
-        let pool = ReplicaPool::new(optimizers, &config.fault, &config.replica_profiles);
-        Gateway { config, pool, cache }
+        Gateway { core: ServingCore::new(config, optimizers, cache) }
     }
 
     /// Consumes the gateway and hands back its cache, for a checkpoint
     /// ([`SemanticCache::persist_to`]) or a carry into the next gateway.
     pub fn into_cache(self) -> GatewayCache {
-        self.cache
+        self.core.into_cache()
     }
 
     /// The live cache.
     pub fn cache(&self) -> &GatewayCache {
-        &self.cache
+        self.core.cache()
     }
 
     /// Mutable access to the live cache (e.g. to checkpoint mid-soak).
     pub fn cache_mut(&mut self) -> &mut GatewayCache {
-        &mut self.cache
+        self.core.cache_mut()
     }
 
     /// Runs the full workload to completion. Returns the response for each
@@ -203,161 +160,84 @@ impl<O: PromptOptimizer> Gateway<O> {
     pub fn run(&mut self, requests: &[Request]) -> (Vec<String>, GatewayReport) {
         let mut span = pas_obs::span("gateway.run");
         span.items(requests.len() as u64);
-        // Cache counters are cumulative per *cache*, which may be carried
-        // across gateways or reopened from a store; the report holds this
-        // run's delta so per-run reports fold correctly with `merge`.
-        let base_hits = self.cache.hits();
-        let base_near = self.cache.near_hits();
-        let base_misses = self.cache.misses();
-        let base_evictions = self.cache.evictions();
-        let mut events: EventHeap<Event> = EventHeap::new();
+        let core = &mut self.core;
+        core.begin_run();
+        let (hit_cost, linger) = (core.config().cache_hit_cost_ms, core.config().batch_linger_ms);
         // Index by position in the slice, not `Request::id` — a workload
         // shard keeps its global ids but is served as a self-contained run.
-        for (i, r) in requests.iter().enumerate() {
-            events.push(r.arrival_ms, Event::Arrival(i));
-        }
-
-        let mut state = vec![ReqState::Pending; requests.len()];
+        let mut events =
+            EventHeap::with_arrivals(requests.iter().map(|r| r.arrival_ms), Event::Arrival);
+        let prompt = |i: usize| requests[i].prompt.as_str();
         let mut responses: Vec<Option<String>> = vec![None; requests.len()];
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut report = GatewayReport {
-            requests: requests.len() as u64,
-            per_replica: vec![ReplicaReport::default(); self.pool.len()],
-            ..GatewayReport::default()
+        let mut answer = |core: &mut ServingCore<O>, i: usize, text: String, at: u64| {
+            responses[i] = Some(text);
+            core.answered(at - requests[i].arrival_ms);
         };
-        let mut now = 0u64;
+        let dispatch = |core: &mut ServingCore<O>, events: &mut EventHeap<Event>, now: u64| {
+            core.dispatch(now, prompt, events, Event::CacheServe, Event::Completion);
+        };
 
-        while let Some((time, event)) = events.pop() {
-            now = time;
+        while let Some((now, event)) = events.pop() {
             match event {
-                Event::Arrival(i) => match self.cache.lookup(&requests[i].prompt) {
-                    CacheOutcome::ExactHit(response) | CacheOutcome::NearHit { response, .. } => {
-                        state[i] = ReqState::Done;
-                        responses[i] = Some(response);
-                        report.completed += 1;
-                        report.latency.record(self.config.cache_hit_cost_ms);
-                        OBS_LATENCY.record(self.config.cache_hit_cost_ms);
+                Event::Arrival(i) => {
+                    core.arrived();
+                    // A hit is answered at once, with no event of its own.
+                    if let Some(response) = core.lookup(prompt(i)) {
+                        answer(core, i, response, now + hit_cost);
+                        continue;
                     }
-                    CacheOutcome::Miss => {
-                        if queue.len() >= self.config.queue_capacity {
-                            match self.config.admission {
-                                AdmissionPolicy::Reject => {
-                                    state[i] = ReqState::Done;
-                                    responses[i] = Some(requests[i].prompt.clone());
-                                    report.rejected += 1;
-                                    report.completed += 1;
-                                    report.latency.record(0);
-                                    OBS_LATENCY.record(0);
-                                    continue;
-                                }
-                                AdmissionPolicy::ShedOldest => {
-                                    let oldest = queue.pop_front().expect("full queue");
-                                    state[oldest] = ReqState::Done;
-                                    responses[oldest] = Some(requests[oldest].prompt.clone());
-                                    report.shed += 1;
-                                    report.completed += 1;
-                                    report.latency.record(now - requests[oldest].arrival_ms);
-                                    OBS_LATENCY.record(now - requests[oldest].arrival_ms);
-                                }
-                            }
-                        }
-                        state[i] = ReqState::Queued;
-                        queue.push_back(i);
-                        OBS_QUEUE_DEPTH.set(queue.len() as u64);
-                        if queue.len() >= self.config.batch_max {
-                            self.dispatch(
-                                &mut queue,
-                                &mut state,
-                                requests,
-                                now,
-                                &mut report,
-                                &mut events,
-                            );
-                        } else {
-                            events.push(now + self.config.batch_linger_ms, Event::LingerFire(i));
-                        }
+                    let admission = core.admit(i, true);
+                    if let Some(away) = admission.turned_away {
+                        answer(core, away, prompt(away).to_string(), now);
                     }
-                },
+                    if admission.dispatch {
+                        dispatch(core, &mut events, now);
+                    } else if admission.queued {
+                        events.push(now + linger, Event::LingerFire(i));
+                    }
+                }
+                // Stale once its request was dispatched or shed; a live
+                // fire flushes the whole (sub-batch_max) queue.
                 Event::LingerFire(i) => {
-                    // Stale once its request was dispatched or shed; a live
-                    // fire flushes the whole (sub-batch_max) queue.
-                    if state[i] == ReqState::Queued {
-                        self.dispatch(
-                            &mut queue,
-                            &mut state,
-                            requests,
-                            now,
-                            &mut report,
-                            &mut events,
-                        );
+                    if core.is_queued(i) {
+                        dispatch(core, &mut events, now);
                     }
                 }
-                Event::CacheServe { members, responses: served } => {
-                    for (&i, r) in members.iter().zip(served) {
-                        state[i] = ReqState::Done;
-                        responses[i] = Some(r);
-                        report.completed += 1;
-                        report.latency.record(now - requests[i].arrival_ms);
-                        OBS_LATENCY.record(now - requests[i].arrival_ms);
+                Event::CacheServe(members) => {
+                    for (i, text) in members {
+                        answer(core, i, text, now);
                     }
                 }
-                Event::Completion { replica, members, unique_of, outcomes } => {
-                    self.pool.finish(replica, outcomes.len() as u64);
-                    OBS_POOL_HEALTHY.set(self.pool.healthy() as u64);
-                    // Cache and replica accounting go per unique prompt…
-                    for (u, outcome) in outcomes.iter().enumerate() {
-                        let owner = members[unique_of.iter().position(|&x| x == u).expect("owner")];
-                        match outcome {
-                            ServeOutcome::Served { response, replica: served_by, failovers } => {
-                                self.cache.insert(&requests[owner].prompt, response);
-                                report.failovers += failovers;
-                                let r = &mut report.per_replica[*served_by];
-                                r.served += 1;
-                                if *failovers > 0 {
-                                    r.failover_served += 1;
-                                }
-                            }
-                            ServeOutcome::Degraded => {}
-                        }
-                    }
-                    // …responses and latency per member request.
-                    for (k, &i) in members.iter().enumerate() {
-                        let outcome = &outcomes[unique_of[k]];
-                        if *outcome == ServeOutcome::Degraded {
-                            report.degraded += 1;
-                        }
-                        state[i] = ReqState::Done;
-                        responses[i] = Some(outcome.response_for(&requests[i].prompt));
-                        report.completed += 1;
-                        report.latency.record(now - requests[i].arrival_ms);
-                        OBS_LATENCY.record(now - requests[i].arrival_ms);
+                Event::Completion(batch) => {
+                    for (i, text) in core.complete(batch, true, prompt).0 {
+                        answer(core, i, text, now);
                     }
                 }
             }
         }
 
-        debug_assert!(queue.is_empty(), "linger fires must drain the queue");
-        report.exact_hits = self.cache.hits() - base_hits;
-        report.near_hits = self.cache.near_hits() - base_near;
-        report.misses = self.cache.misses() - base_misses;
-        report.evictions = self.cache.evictions() - base_evictions;
-        report.sim_duration_ms = now;
-        for (r, faults) in report.per_replica.iter_mut().zip(self.pool.fault_reports()) {
-            r.faults = faults;
+        debug_assert_eq!(core.queued(), 0, "linger fires must drain the queue");
+        let now = events.now();
+        let report = core.finish_run(now);
+        // Aggregate counters are charged once per run from the finished
+        // report (the core records the per-event metrics).
+        for (name, n) in [
+            ("gateway.requests", report.requests),
+            ("gateway.completed", report.completed),
+            ("gateway.cache.exact_hits", report.exact_hits),
+            ("gateway.cache.near_hits", report.near_hits),
+            ("gateway.cache.misses", report.misses),
+            ("gateway.cache.batch_hits", report.batch_hits),
+            ("gateway.cache.evictions", report.evictions),
+            ("gateway.shed", report.shed),
+            ("gateway.rejected", report.rejected),
+            ("gateway.degraded", report.degraded),
+            ("gateway.failovers", report.failovers),
+            ("gateway.batches", report.batches),
+            ("gateway.batched_prompts", report.batched_prompts),
+        ] {
+            pas_obs::counter_add(name, n);
         }
-        OBS_REQUESTS.add(report.requests);
-        OBS_COMPLETED.add(report.completed);
-        OBS_EXACT_HITS.add(report.exact_hits);
-        OBS_NEAR_HITS.add(report.near_hits);
-        OBS_MISSES.add(report.misses);
-        OBS_BATCH_HITS.add(report.batch_hits);
-        OBS_EVICTIONS.add(report.evictions);
-        OBS_SHED.add(report.shed);
-        OBS_REJECTED.add(report.rejected);
-        OBS_DEGRADED.add(report.degraded);
-        OBS_FAILOVERS.add(report.failovers);
-        OBS_BATCHES.add(report.batches);
-        OBS_BATCHED_PROMPTS.add(report.batched_prompts);
         if pas_obs::enabled() {
             for (idx, r) in report.per_replica.iter().enumerate() {
                 pas_obs::counter_add(&format!("gateway.replica{idx}.served"), r.served);
@@ -367,106 +247,6 @@ impl<O: PromptOptimizer> Gateway<O> {
         span.finish();
         let responses = responses.into_iter().map(|r| r.expect("every request answered")).collect();
         (responses, report)
-    }
-
-    /// Pops up to `batch_max` queued requests, dedupes their prompts
-    /// (first-occurrence order), gives every unique prompt a second-chance
-    /// cache probe (batched through [`SemanticCache::lookup_batch`] — an
-    /// earlier batch may have completed and cached it while these requests
-    /// queued), then serves the remaining unique prompts through the pool
-    /// in parallel and schedules the batch's completion.
-    fn dispatch(
-        &mut self,
-        queue: &mut VecDeque<usize>,
-        state: &mut [ReqState],
-        requests: &[Request],
-        now: u64,
-        report: &mut GatewayReport,
-        events: &mut EventHeap<Event>,
-    ) {
-        let take = queue.len().min(self.config.batch_max);
-        let members: Vec<usize> = queue.drain(..take).collect();
-        let mut unique: Vec<&str> = Vec::new();
-        let unique_of: Vec<usize> = members
-            .iter()
-            .map(|&i| {
-                let p = requests[i].prompt.as_str();
-                match unique.iter().position(|&q| q == p) {
-                    Some(u) => u,
-                    None => {
-                        unique.push(p);
-                        unique.len() - 1
-                    }
-                }
-            })
-            .collect();
-        for &i in &members {
-            state[i] = ReqState::Dispatched;
-        }
-        OBS_QUEUE_DEPTH.set(queue.len() as u64);
-
-        // Second-chance probe. Misses were already counted at arrival; this
-        // only harvests prompts cached since then.
-        let cached = self.cache.lookup_batch(&unique);
-        let mut live_unique: Vec<&str> = Vec::new();
-        let remap: Vec<Option<usize>> = cached
-            .iter()
-            .enumerate()
-            .map(|(u, c)| {
-                if c.is_none() {
-                    live_unique.push(unique[u]);
-                    Some(live_unique.len() - 1)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let mut hit_members = Vec::new();
-        let mut hit_responses = Vec::new();
-        let mut live_members = Vec::new();
-        let mut live_unique_of = Vec::new();
-        for (k, &i) in members.iter().enumerate() {
-            match &cached[unique_of[k]] {
-                Some(response) => {
-                    hit_members.push(i);
-                    hit_responses.push(response.clone());
-                }
-                None => {
-                    live_members.push(i);
-                    live_unique_of.push(remap[unique_of[k]].expect("missed uniques are live"));
-                }
-            }
-        }
-        if !hit_members.is_empty() {
-            report.batch_hits += hit_members.len() as u64;
-            events.push(
-                now + self.config.cache_hit_cost_ms,
-                Event::CacheServe { members: hit_members, responses: hit_responses },
-            );
-        }
-        if live_unique.is_empty() {
-            return;
-        }
-
-        let replica = self.pool.route();
-        self.pool.begin(replica, live_unique.len() as u64);
-        // The only parallel region in the gateway: item-ordered results,
-        // content-derived fault coordinates → thread-count invariant.
-        let outcomes = pas_par::par_map(&live_unique, |_, p| self.pool.try_serve(replica, p));
-        report.batches += 1;
-        report.batched_prompts += live_unique.len() as u64;
-        OBS_BATCH_SIZE.record(live_unique.len() as u64);
-        let cost = self.config.batch_overhead_ms
-            + self.config.per_prompt_cost_ms * live_unique.len() as u64;
-        events.push(
-            now + cost,
-            Event::Completion {
-                replica,
-                members: live_members,
-                unique_of: live_unique_of,
-                outcomes,
-            },
-        );
     }
 }
 
@@ -563,9 +343,15 @@ mod tests {
             mean_interarrival_ms: 1.0,
             ..WorkloadConfig::default()
         });
-        for admission in [AdmissionPolicy::ShedOldest, AdmissionPolicy::Reject] {
+        // A zero capacity turns every miss away.
+        for (admission, queue_capacity) in [
+            (AdmissionPolicy::ShedOldest, 2),
+            (AdmissionPolicy::Reject, 2),
+            (AdmissionPolicy::ShedOldest, 0),
+            (AdmissionPolicy::Reject, 0),
+        ] {
             let config = GatewayConfig {
-                queue_capacity: 2,
+                queue_capacity,
                 batch_max: 16,
                 batch_linger_ms: 40,
                 admission,
@@ -583,6 +369,10 @@ mod tests {
                     assert!(report.rejected > 0, "tiny queue must reject: {report:?}");
                     assert_eq!(report.shed, 0);
                 }
+            }
+            if queue_capacity == 0 {
+                assert_eq!(report.shed + report.rejected, report.misses, "{report:?}");
+                assert_eq!(report.batches, 0);
             }
             // Shed/rejected requests still get the passthrough answer.
             for (r, resp) in requests.iter().zip(&responses) {

@@ -16,11 +16,15 @@
 //! - [`pool`] — [`ReplicaPool`]: N `DegradingServer` replicas with
 //!   decorrelated fault seeds, deterministic least-loaded routing, and
 //!   failover; a full-pool outage degrades every request to passthrough.
-//! - [`gateway`] — [`Gateway`]: the event loop tying admission control,
-//!   micro-batching, cache, and pool together.
+//! - [`serving`] — [`ServingCore`]: one cache, one pool, one bounded queue
+//!   and the per-run report, with lookup, admission control, micro-batch
+//!   dispatch and batch completion written once. A [`Gateway`] drives one;
+//!   every node of a `pas-cluster` fleet is one plus its membership state.
+//! - [`gateway`] — [`Gateway`]: the single-node event loop around a core,
+//!   answering at the gateway itself.
 //! - [`sim`] — [`EventHeap`]: the `(time, seq)`-ordered future-event list
-//!   the gateway loop runs on, shared with `pas-cluster`'s multi-node
-//!   loop.
+//!   both loops run on, with the workload's arrivals kept as a sorted
+//!   schedule beside the heap rather than in it.
 //! - [`workload`] — seeded Zipf-skewed open-loop request generation.
 //! - [`report`] — mergeable [`GatewayReport`] with a log₂-bucketed
 //!   latency histogram.
@@ -29,6 +33,7 @@ pub mod cache;
 pub mod gateway;
 pub mod pool;
 pub mod report;
+pub mod serving;
 pub mod sim;
 pub mod workload;
 
@@ -36,5 +41,6 @@ pub use cache::{entry_hash, CacheOutcome, OpenMode, SemanticCache, SemanticCache
 pub use gateway::{cache_embedder, AdmissionPolicy, Gateway, GatewayCache, GatewayConfig};
 pub use pool::{ReplicaPool, ServeOutcome};
 pub use report::{GatewayReport, LatencyHistogram, ReplicaReport};
+pub use serving::{Batch, ServingCore};
 pub use sim::EventHeap;
 pub use workload::{base_prompt, generate, Request, WorkloadConfig};

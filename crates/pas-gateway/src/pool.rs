@@ -101,6 +101,11 @@ impl<O: PromptOptimizer> ReplicaPool<O> {
         pick(&mut healthy).or_else(|| pick(&mut (0..self.replicas.len()))).expect("non-empty pool")
     }
 
+    /// Prompts currently dispatched per replica.
+    pub fn in_flight(&self) -> &[u64] {
+        &self.in_flight
+    }
+
     /// Marks `count` prompts dispatched to `replica`.
     pub fn begin(&mut self, replica: usize, count: u64) {
         self.in_flight[replica] += count;

@@ -22,6 +22,12 @@
 //!    served warm by their new owners because write-fanout pre-installed
 //!    them: the new-owner hit rate clears a pinned floor and beats the
 //!    fanout-off cold baseline ≥5x.
+//! 7. **A cross-commit golden** — the churn and round-2 soaks' reports and
+//!    response digests match `tests/snapshots/cluster_soak.json` byte for
+//!    byte.
+//! 8. **One serving core** — a one-node fleet serves exactly what a
+//!    `Gateway` serves, and a crash that abandons a batch in flight
+//!    releases its replica load.
 //!
 //! Thread-dependent assertions share one test function because the
 //! `pas_par` thread count is process-global and the harness runs tests
@@ -30,7 +36,9 @@
 use pas::cluster::{fleet_workloads, hrw, Cluster, ClusterConfig, ClusterReport, Membership};
 use pas::core::PromptOptimizer;
 use pas::fault::{FaultProfile, NetFaultProfile};
-use pas::gateway::{GatewayConfig, Request, WorkloadConfig};
+use pas::gateway::{
+    AdmissionPolicy, Gateway, GatewayConfig, Request, SemanticCacheConfig, WorkloadConfig,
+};
 
 /// A toy deterministic optimizer with visible, prompt-derived output.
 struct Suffix;
@@ -85,6 +93,23 @@ fn churn_config() -> ClusterConfig {
     }
 }
 
+/// The churn soak plus the round-2 replication plane: write fanout,
+/// anti-entropy, gossip failure detection, and a hard crash.
+fn round2_config() -> ClusterConfig {
+    ClusterConfig {
+        nodes: 4,
+        replication: 2,
+        gateway: chaotic_gateway(),
+        net: NetFaultProfile::lossy().with_partition(300, 900, vec![3]),
+        script: vec![(500, Membership::Leave(1)), (700, Membership::Crash(2))],
+        ae_interval_ms: 20,
+        gossip_interval_ms: 25,
+        gossip_dead_rounds: 24,
+        quiet_ms: 25 * 40,
+        ..ClusterConfig::default()
+    }
+}
+
 fn run_cluster(
     config: ClusterConfig,
     workloads: &[Vec<Request>],
@@ -122,20 +147,8 @@ fn fleet_soaks_are_bit_identical_across_thread_counts() {
     // The full replication plane rides the same serial heap, so the soak
     // stays bit-identical at 1 and 8 threads while fanout, AE, and the
     // gossip detector all actually carry traffic.
-    let round2 = || ClusterConfig {
-        nodes: 4,
-        replication: 2,
-        gateway: chaotic_gateway(),
-        net: NetFaultProfile::lossy().with_partition(300, 900, vec![3]),
-        script: vec![(500, Membership::Leave(1)), (700, Membership::Crash(2))],
-        ae_interval_ms: 20,
-        gossip_interval_ms: 25,
-        gossip_dead_rounds: 24,
-        quiet_ms: 25 * 40,
-        ..ClusterConfig::default()
-    };
-    let serial2 = pas_par::with_threads(1, || run_cluster(round2(), &workloads));
-    let parallel2 = pas_par::with_threads(8, || run_cluster(round2(), &workloads));
+    let serial2 = pas_par::with_threads(1, || run_cluster(round2_config(), &workloads));
+    let parallel2 = pas_par::with_threads(8, || run_cluster(round2_config(), &workloads));
     assert_eq!(serial2.0, parallel2.0, "round-2 responses must be thread-invariant");
     assert_eq!(serial2.2, parallel2.2, "round-2 fleet report must be thread-invariant");
 
@@ -146,6 +159,60 @@ fn fleet_soaks_are_bit_identical_across_thread_counts() {
     assert!(report2.ae_digests > 0, "anti-entropy sweeps must run");
     assert!(report2.gossip_heartbeats > 0, "the failure detector must gossip");
     assert!(report2.transfers_sent > 0, "the leave must hand off in-band");
+}
+
+/// FNV-1a over every response, node-major, each followed by a `0xff`
+/// separator (a byte UTF-8 text never contains).
+fn responses_fnv(responses: &[Vec<String>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in responses.iter().flatten().flat_map(|r| r.bytes().chain([0xff])) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// A cross-commit golden for the cluster serving path: the churn soak's
+/// and the round-2 soak's serialized `ClusterReport`s and response
+/// digests, compared byte for byte with `tests/snapshots/cluster_soak.json`.
+/// After an intentional change, regenerate it with
+/// `UPDATE_SNAPSHOTS=1 cargo test --test cluster`.
+#[test]
+fn fleet_soaks_match_the_committed_golden() {
+    let workloads = fleet_workloads(&base_workload(), 4);
+    let mut golden = String::from("{\n");
+    for (k, (name, config)) in
+        [("churn", churn_config()), ("round2", round2_config())].into_iter().enumerate()
+    {
+        let (responses, _, json) = run_cluster(config, &workloads);
+        let sep = if k == 0 { "," } else { "" };
+        golden.push_str(&format!(
+            "  \"{name}\": {{\n    \"responses_fnv\": \"{:#018x}\",\n    \"report\": {json}\n  }}{sep}\n",
+            responses_fnv(&responses)
+        ));
+    }
+    golden.push_str("}\n");
+
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/cluster_soak.json");
+    if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
+        std::fs::write(&path, &golden)
+            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        eprintln!("updated fixture {}", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run UPDATE_SNAPSHOTS=1 cargo test --test cluster",
+            path.display()
+        )
+    });
+    assert!(
+        expected == golden,
+        "cluster soaks diverged from {}; if the change is intentional, regenerate with \
+         UPDATE_SNAPSHOTS=1",
+        path.display()
+    );
 }
 
 /// Property 7: write-fanout pre-warms the runner-up replica of every key,
@@ -228,4 +295,100 @@ fn per_node_workloads_are_decorrelated_but_reproducible() {
 
     // And the derivation is pure: same fleet seed, same traffic.
     assert_eq!(per_node, fleet_workloads(&base, 2));
+}
+
+/// A one-node, replication-1 fleet on a fault-free network runs the same
+/// serving core as a `Gateway`, so it answers every request alike and
+/// accounts the same report. Only `sim_duration_ms` may differ: a gateway
+/// answers an arrival hit at once, while the node schedules the answer
+/// `cache_hit_cost_ms` later, so a run that ends on a hit ends later.
+#[test]
+fn a_one_node_cluster_serves_what_a_gateway_serves() {
+    let base = WorkloadConfig {
+        requests: 1500,
+        universe: 300,
+        near_dup_rate: 0.2,
+        zipf_s: 0.0,
+        mean_interarrival_ms: 1.0,
+        ..WorkloadConfig::default()
+    };
+    let workloads = fleet_workloads(&base, 1);
+    let small_cache =
+        |tau, capacity| SemanticCacheConfig { tau, capacity, ..SemanticCacheConfig::default() };
+    let configs = [
+        quiet_gateway(),
+        GatewayConfig {
+            cache: small_cache(0.25, 16),
+            queue_capacity: 4,
+            admission: AdmissionPolicy::ShedOldest,
+            ..quiet_gateway()
+        },
+        GatewayConfig {
+            cache: small_cache(0.15, 32),
+            queue_capacity: 3,
+            admission: AdmissionPolicy::Reject,
+            ..quiet_gateway()
+        },
+    ];
+    let mut totals = pas::gateway::GatewayReport::default();
+    for gateway in configs {
+        let hit_cost = gateway.cache_hit_cost_ms;
+        let replicas = (0..gateway.replicas).map(|_| Suffix).collect();
+        let (served, report) = Gateway::new(gateway.clone(), replicas).run(&workloads[0]);
+        let config = ClusterConfig {
+            nodes: 1,
+            replication: 1,
+            gateway,
+            net: NetFaultProfile::none(),
+            ..ClusterConfig::default()
+        };
+        let (fleet_served, fleet) = Cluster::new(config, |_, _| Suffix).run(&workloads);
+        assert_eq!(fleet_served[0], served, "a one-node fleet must answer like a gateway");
+
+        let mut node = fleet.per_node[0].clone();
+        let ends_later = node.sim_duration_ms - report.sim_duration_ms;
+        assert!(ends_later == 0 || ends_later == hit_cost, "{node:?} vs {report:?}");
+        node.sim_duration_ms = report.sim_duration_ms;
+        assert_eq!(node, report, "a one-node fleet must account like a gateway");
+        totals.merge(&report);
+    }
+    // The configs exercise every serving path the core shares.
+    assert!(totals.shed > 0 && totals.rejected > 0, "{totals:?}");
+    assert!(totals.near_hits > 0 && totals.batch_hits > 0 && totals.evictions > 0, "{totals:?}");
+}
+
+/// A batch in flight when its node crashes is abandoned, and abandoning it
+/// releases its replica load: after the node rejoins, least-loaded routing
+/// must see true in-flight counts, so every pool ends the run idle.
+#[test]
+fn a_crash_releases_the_replica_load_of_its_batches_in_flight() {
+    let base = WorkloadConfig {
+        requests: 600,
+        universe: 20_000,
+        zipf_s: 0.0,
+        near_dup_rate: 0.0,
+        mean_interarrival_ms: 2.0,
+        seed: 9,
+    };
+    let workloads = fleet_workloads(&base, 2);
+    for crash_at in [500, 503, 507, 511] {
+        let config = ClusterConfig {
+            nodes: 2,
+            replication: 2,
+            gateway: quiet_gateway(),
+            script: vec![(crash_at, Membership::Crash(1)), (900, Membership::Join(1))],
+            ..ClusterConfig::default()
+        };
+        let mut cluster = Cluster::new(config, |_, _| Suffix);
+        let (_, report) = cluster.run(&workloads);
+        assert_eq!(report.errors(), 0);
+        assert!(report.crash_retries > 0, "the crash at {crash_at} ms must orphan work");
+        for node in 0..2 {
+            assert!(
+                cluster.in_flight(node).iter().all(|&n| n == 0),
+                "node {node} keeps in-flight load {:?} after a crash at {crash_at} ms",
+                cluster.in_flight(node)
+            );
+        }
+    }
 }
