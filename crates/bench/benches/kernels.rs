@@ -267,7 +267,7 @@ fn bench_big_index_probe(c: &mut Criterion) {
 }
 
 fn bench_search_batch(c: &mut Criterion) {
-    // A gateway micro-batch against the HNSW index: sequential per-query
+    // A micro-batch of queries against the HNSW index: sequential per-query
     // `search` vs `search_batch`, on the f32 index and on its int8- and
     // product-quantized twins. On f32 `search_batch` is that same loop, so
     // its row reads ~1.0x; the quantized tiers probe each expansion's

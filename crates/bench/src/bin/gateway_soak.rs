@@ -5,16 +5,11 @@
 //! ```text
 //! gateway_soak [--requests N] [--universe N] [--zipf S] [--near-dup F]
 //!              [--replicas N] [--cache-capacity N] [--tau F] [--shards N]
-//!              [--cache-mode plain|int8|pq] [--fault-profile NAME]
+//!              [--fault-profile NAME]
 //!              [--store-dir DIR] [--restart warm|cold|reembed] [--carry-cache]
 //!              [--seed S] [--threads N]
 //!              [--metrics-out FILE] [--metrics-jsonl FILE]
 //! ```
-//!
-//! `--cache-mode` picks the semantic-cache probe tier: `plain` (f32, the
-//! default), `int8` (scalar-quantized codes), or `pq` (product-quantized
-//! codes). Served results are identical across modes on this workload —
-//! the CI backend matrix byte-diffs the reports to prove it.
 //!
 //! With `--shards N` the workload is split into N contiguous shards, each
 //! served by its own gateway (a fleet of cold caches), and the per-shard
@@ -85,22 +80,12 @@ fn main() {
         fault.profile =
             FaultProfile::named(name).unwrap_or_else(|| panic!("unknown fault profile '{name}'"));
     }
-    let cache_mode = match args.iter().position(|a| a == "--cache-mode") {
-        None => "plain".to_string(),
-        Some(i) => args.get(i + 1).expect("--cache-mode requires a value").clone(),
-    };
-    assert!(
-        matches!(cache_mode.as_str(), "plain" | "int8" | "pq"),
-        "unknown cache mode '{cache_mode}' (expected plain|int8|pq)"
-    );
     let config = GatewayConfig {
         replicas: flag(&args, "--replicas", 2usize),
         fault,
         cache: SemanticCacheConfig {
             capacity: flag(&args, "--cache-capacity", 4096usize),
             tau: flag(&args, "--tau", 0.15f32),
-            quantized: cache_mode == "int8",
-            pq: cache_mode == "pq",
             ..SemanticCacheConfig::default()
         },
         ..GatewayConfig::default()
@@ -121,7 +106,7 @@ fn main() {
 
     eprintln!(
         "soaking {} requests (universe {}, zipf {}) through {} shard(s) × {} replica(s), \
-         cache {} τ {} mode {}, profile '{}'…",
+         cache {} τ {}, profile '{}'…",
         workload.requests,
         workload.universe,
         workload.zipf_s,
@@ -129,7 +114,6 @@ fn main() {
         config.replicas,
         config.cache.capacity,
         config.cache.tau,
-        cache_mode,
         config.fault.profile.name,
     );
     if let Some(dir) = &store_dir {

@@ -1,15 +1,23 @@
 //! Brute-force exact nearest-neighbour index.
 //!
-//! Shares the query interface of [`crate::Hnsw`]; used as ground truth in
-//! recall tests, as the small-collection fast path in the deduplicator, and
-//! as the baseline in the ANN benchmarks.
+//! Shares the query interface of [`crate::Hnsw`]. It is the semantic
+//! cache's near tier in `pas-gateway`, the ground truth in recall tests,
+//! and the baseline in the ANN benchmarks.
 //!
 //! Like the HNSW index, vectors are stored in the metric's *prepared* form
 //! plus their original L2 norm ([`crate::Metric::prepare`]) — and they are
-//! stored **flat**: one contiguous row-major buffer, so a scan range is
-//! already the packed panel [`crate::Metric::prepared_distance_block`]
-//! wants. Under cosine a scan is then a handful of block dots instead of a
-//! per-element `1 − dot` loop.
+//! stored **flat**: one contiguous row-major buffer of the live rows, so a
+//! scan range is already the packed panel
+//! [`crate::Metric::prepared_distance_block`] wants. Under cosine a scan is
+//! then a handful of block dots instead of a per-element `1 − dot` loop.
+//!
+//! Ids are handed out in insertion order and never change.
+//! [`ExactIndex::remove`] moves the last row into the removed row's place
+//! and repoints that row's id, so the buffer holds only live rows and a
+//! scan never visits a dead one. A scan keeps a bounded top-`k` by
+//! `(distance, id)` as it goes rather than sorting every row; the result is
+//! exactly what sorting them all would return, so ties go to the smaller
+//! id wherever the rows sit.
 //!
 //! With [`ExactIndex::set_quantization`] the index additionally keeps int8
 //! codes ([`crate::quant::QuantStore`]) and probes through the integer path:
@@ -23,6 +31,10 @@
 //! over-fetching [`crate::quant::pq_rerank_overfetch`]`(k)` before the same
 //! exact f32 re-rank. The codebook trains lazily once
 //! [`crate::quant::PQ_TRAIN_MIN`] rows exist; until then scans stay f32.
+//! Neither code tier supports [`ExactIndex::remove`].
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::metric::Metric;
 use crate::quant::{
@@ -37,15 +49,22 @@ use crate::Neighbor;
 static OBS_SEARCHES: pas_obs::Counter = pas_obs::Counter::new("ann.exact.searches");
 static OBS_PROBES: pas_obs::Counter = pas_obs::Counter::new("ann.exact.probes");
 
+/// The row of an id that has been removed.
+const REMOVED: usize = usize::MAX;
+
 /// Exhaustive-scan index over the inserted vectors.
 pub struct ExactIndex<M: Metric> {
     metric: M,
-    /// Row length; 0 until the first insert locks it in.
+    /// Row length; set by the first insert into an empty index.
     dim: usize,
-    /// Prepared (e.g. unit-normalized) vectors, flat row-major.
+    /// Prepared (e.g. unit-normalized) live rows, flat row-major.
     data: Vec<f32>,
-    /// Original L2 norm of each vector, recorded at insert.
+    /// Original L2 norm of each live row, recorded at insert.
     norms: Vec<f32>,
+    /// The id of each live row.
+    ids: Vec<usize>,
+    /// The row of every id handed out, or [`REMOVED`].
+    rows: Vec<usize>,
     /// int8 codes + scales when quantized probing is on.
     quant: Option<QuantStore>,
     /// PQ codes when product-quantized probing is on (possibly untrained).
@@ -55,28 +74,59 @@ pub struct ExactIndex<M: Metric> {
 impl<M: Metric> ExactIndex<M> {
     /// Creates an empty index with the given metric.
     pub fn new(metric: M) -> Self {
-        ExactIndex { metric, dim: 0, data: Vec::new(), norms: Vec::new(), quant: None, pq: None }
+        ExactIndex {
+            metric,
+            dim: 0,
+            data: Vec::new(),
+            norms: Vec::new(),
+            ids: Vec::new(),
+            rows: Vec::new(),
+            quant: None,
+            pq: None,
+        }
+    }
+
+    /// Rebuilds an index from saved rows: ids `0..next_id` were handed out,
+    /// and `rows` holds each live one as `(id, norm, prepared row)`, as
+    /// [`ExactIndex::norm`] and [`ExactIndex::vector`] return them. The
+    /// rows are taken as already prepared, so the rebuilt index answers
+    /// every search with the saved one's bits.
+    ///
+    /// # Panics
+    /// Panics when an id repeats or is not below `next_id`, or when the
+    /// rows differ in width.
+    pub fn from_rows(
+        metric: M,
+        next_id: usize,
+        rows: impl IntoIterator<Item = (usize, f32, Vec<f32>)>,
+    ) -> Self {
+        let mut index = ExactIndex::new(metric);
+        index.rows = vec![REMOVED; next_id];
+        for (id, norm, row) in rows {
+            assert!(
+                index.rows.get(id) == Some(&REMOVED),
+                "ExactIndex::from_rows: id {id} repeats or is not below {next_id}"
+            );
+            index.push_row(id, norm, &row);
+        }
+        index
     }
 
     /// Inserts a vector, returning its id (insertion order).
     ///
     /// # Panics
-    /// Panics when the dimension differs from previously inserted vectors.
+    /// Panics when the dimension differs from the live rows'.
     pub fn insert(&mut self, mut vector: Vec<f32>) -> usize {
-        let id = self.norms.len();
-        if id == 0 {
-            self.dim = vector.len();
-        }
-        assert_eq!(vector.len(), self.dim, "dimension mismatch at insert");
-        self.norms.push(self.metric.prepare(&mut vector));
+        let id = self.rows.len();
+        let norm = self.metric.prepare(&mut vector);
+        self.push_row(id, norm, &vector);
         if let Some(quant) = &mut self.quant {
             quant.push(&self.metric, &vector);
         }
-        self.data.extend_from_slice(&vector);
-        let (dim, len) = (self.dim, self.norms.len());
+        let (dim, len) = (self.dim, self.len());
         if let Some(pq) = &mut self.pq {
             if pq.ready() {
-                pq.push(&self.data[id * dim..(id + 1) * dim]);
+                pq.push(&vector);
             } else if len >= PQ_TRAIN_MIN {
                 Self::train_pq(pq, &self.data, dim, len);
             }
@@ -84,9 +134,51 @@ impl<M: Metric> ExactIndex<M> {
         id
     }
 
+    /// Appends a prepared row as the row of `id`.
+    fn push_row(&mut self, id: usize, norm: f32, row: &[f32]) {
+        if self.ids.is_empty() {
+            self.dim = row.len();
+        }
+        assert_eq!(row.len(), self.dim, "dimension mismatch at insert");
+        if id >= self.rows.len() {
+            self.rows.resize(id + 1, REMOVED);
+        }
+        self.rows[id] = self.ids.len();
+        self.ids.push(id);
+        self.norms.push(norm);
+        self.data.extend_from_slice(row);
+    }
+
+    /// Removes `id`, returning whether it was live. The last row moves into
+    /// its place, so every other id keeps naming its own vector and no scan
+    /// visits the removed one.
+    ///
+    /// # Panics
+    /// Panics on an index with an int8 or PQ tier, whose code rows would
+    /// have to move too.
+    pub fn remove(&mut self, id: usize) -> bool {
+        assert!(
+            self.quant.is_none() && self.pq.is_none(),
+            "ExactIndex::remove: an index with an int8 or PQ tier cannot remove rows"
+        );
+        let Some(&row) = self.rows.get(id).filter(|&&row| row != REMOVED) else {
+            return false;
+        };
+        let (dim, last) = (self.dim, self.ids.len() - 1);
+        self.data.copy_within(last * dim..(last + 1) * dim, row * dim);
+        self.data.truncate(last * dim);
+        self.norms.swap_remove(row);
+        self.ids.swap_remove(row);
+        if row < last {
+            self.rows[self.ids[row]] = row;
+        }
+        self.rows[id] = REMOVED;
+        true
+    }
+
     /// Trains `pq` over all currently stored rows and encodes them.
     fn train_pq(pq: &mut PqStore, data: &[f32], dim: usize, len: usize) {
-        let rows: Vec<&[f32]> = (0..len).map(|id| &data[id * dim..(id + 1) * dim]).collect();
+        let rows: Vec<&[f32]> = (0..len).map(|row| &data[row * dim..(row + 1) * dim]).collect();
         pq.train_encode(&rows, dim);
     }
 
@@ -110,8 +202,8 @@ impl<M: Metric> ExactIndex<M> {
         }
         assert!(self.metric.quantize(&[]).is_some(), "metric has no quantized probe path");
         let mut store = QuantStore::new();
-        for id in 0..self.norms.len() {
-            store.push(&self.metric, self.vector(id));
+        for row in 0..self.len() {
+            store.push(&self.metric, self.row(row));
         }
         self.quant = Some(store);
     }
@@ -132,8 +224,8 @@ impl<M: Metric> ExactIndex<M> {
             return;
         }
         let mut pq = PqStore::new(PqConfig::default());
-        if self.norms.len() >= PQ_TRAIN_MIN {
-            Self::train_pq(&mut pq, &self.data, self.dim, self.norms.len());
+        if self.len() >= PQ_TRAIN_MIN {
+            Self::train_pq(&mut pq, &self.data, self.dim, self.len());
         }
         self.pq = Some(pq);
     }
@@ -164,26 +256,42 @@ impl<M: Metric> ExactIndex<M> {
         }
     }
 
-    /// Number of stored vectors.
+    /// Number of live vectors.
     pub fn len(&self) -> usize {
-        self.norms.len()
+        self.ids.len()
     }
 
-    /// True when no vectors are stored.
+    /// True when no vector is live.
     pub fn is_empty(&self) -> bool {
-        self.norms.is_empty()
+        self.ids.is_empty()
     }
 
     /// Returns the stored vector for `id`, in the metric's prepared form
     /// (under cosine: the unit vector — multiply by [`ExactIndex::norm`] to
     /// recover the original magnitude).
+    ///
+    /// # Panics
+    /// Panics when `id` was never handed out or has been removed.
     pub fn vector(&self, id: usize) -> &[f32] {
-        &self.data[id * self.dim..(id + 1) * self.dim]
+        self.row(self.row_of(id))
     }
 
     /// Original L2 norm of the vector inserted as `id`.
+    ///
+    /// # Panics
+    /// Panics when `id` was never handed out or has been removed.
     pub fn norm(&self, id: usize) -> f32 {
-        self.norms[id]
+        self.norms[self.row_of(id)]
+    }
+
+    fn row_of(&self, id: usize) -> usize {
+        let row = self.rows[id];
+        assert!(row != REMOVED, "ExactIndex: id {id} was removed");
+        row
+    }
+
+    fn row(&self, row: usize) -> &[f32] {
+        &self.data[row * self.dim..(row + 1) * self.dim]
     }
 
     /// Prepares a query once for the probes of a whole scan.
@@ -221,57 +329,52 @@ impl<M: Metric> ExactIndex<M> {
         if let Some(quant) = &self.quant {
             return self.search_quantized(query, quant, k);
         }
-        let mut hits = self.top_by(k, |start, end, cap| self.scan_range(query, start, end, cap));
-        hits.truncate(k);
-        hits
+        self.top_by(k, |start, end, k| {
+            let mut distances = vec![0.0f32; end - start];
+            self.metric.prepared_distance_block(
+                query,
+                &self.data[start * self.dim..end * self.dim],
+                &mut distances,
+            );
+            self.nearest_rows(start, distances, k)
+        })
     }
 
-    /// Chunked parallel scan skeleton: every `SCAN_CHUNK` range reduces to a
-    /// local top-`cap`, partial results merge in chunk order and re-sort.
-    /// The chunk size is fixed (never thread-count dependent), so the merged
-    /// list is identical at any `--threads` setting.
+    /// Chunked parallel scan skeleton: every `SCAN_CHUNK` range of rows
+    /// reduces to a local top-`k`, and the partial results reduce to the
+    /// top-`k` of all. The chunk size is fixed (never thread-count
+    /// dependent), and the top-`k` is exact, so the result is identical at
+    /// any `--threads` setting.
     fn top_by(
         &self,
-        cap: usize,
+        k: usize,
         scan: impl Fn(usize, usize, usize) -> Vec<Neighbor> + Send + Sync,
     ) -> Vec<Neighbor> {
         let n = self.len();
+        if n <= Self::SCAN_CHUNK {
+            return scan(0, n, k);
+        }
         let chunk_starts: Vec<usize> = (0..n).step_by(Self::SCAN_CHUNK).collect();
-        let mut hits: Vec<Neighbor> = if chunk_starts.len() <= 1 {
-            scan(0, n, usize::MAX)
-        } else {
-            pas_par::par_map(&chunk_starts, |_, &start| {
-                let end = (start + Self::SCAN_CHUNK).min(n);
-                scan(start, end, cap)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-        hits.sort_by(|a, b| a.distance.total_cmp(&b.distance).then_with(|| a.id.cmp(&b.id)));
-        hits
+        let partial = pas_par::par_map(&chunk_starts, |_, &start| {
+            scan(start, (start + Self::SCAN_CHUNK).min(n), k)
+        });
+        top_k(partial.into_iter().flatten(), k)
     }
 
-    /// Distances for ids in `start..end` against an already-prepared query,
-    /// sorted, truncated to `k`. The flat store makes `start..end` a packed
-    /// panel, so this is one block probe.
-    fn scan_range(&self, query: &[f32], start: usize, end: usize, k: usize) -> Vec<Neighbor> {
-        let mut distances = vec![0.0f32; end - start];
-        self.metric.prepared_distance_block(
-            query,
-            &self.data[start * self.dim..end * self.dim],
-            &mut distances,
-        );
-        let mut hits: Vec<Neighbor> = distances
-            .into_iter()
-            .enumerate()
-            .map(|(off, distance)| Neighbor { id: start + off, distance })
-            .collect();
-        hits.sort_by(|a, b| a.distance.total_cmp(&b.distance).then_with(|| a.id.cmp(&b.id)));
-        if k != usize::MAX {
-            hits.truncate(k);
-        }
-        hits
+    /// The `k` nearest of the rows from `start` on, given their distances.
+    fn nearest_rows(&self, start: usize, distances: Vec<f32>, k: usize) -> Vec<Neighbor> {
+        let ids = &self.ids[start..start + distances.len()];
+        top_k(distances.into_iter().zip(ids).map(|(distance, &id)| Neighbor { id, distance }), k)
+    }
+
+    /// The exact top-`k` of `candidates`, re-ranked by f32 distance.
+    fn rerank(&self, query: &[f32], candidates: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
+        OBS_RERANK.add(candidates.len() as u64);
+        let exact = candidates.into_iter().map(|h| Neighbor {
+            id: h.id,
+            distance: self.metric.prepared_distance(query, self.vector(h.id)),
+        });
+        top_k(exact, k)
     }
 
     /// int8 probe: approximate-scan all code rows, keep the
@@ -280,35 +383,14 @@ impl<M: Metric> ExactIndex<M> {
     fn search_quantized(&self, query: &[f32], quant: &QuantStore, k: usize) -> Vec<Neighbor> {
         let (qcodes, qscale) =
             self.metric.quantize(query).expect("metric has no quantized probe path");
-        let fetch = rerank_overfetch(k);
         OBS_QUANTIZED.add(self.len() as u64);
-        let mut approx = self.top_by(fetch, |start, end, cap| {
+        let approx = self.top_by(rerank_overfetch(k), |start, end, cap| {
             let (panel, scales) = quant.rows(start, end);
             let mut distances = vec![0.0f32; end - start];
             self.metric.quantized_distance_block(&qcodes, qscale, panel, scales, &mut distances);
-            let mut hits: Vec<Neighbor> = distances
-                .into_iter()
-                .enumerate()
-                .map(|(off, distance)| Neighbor { id: start + off, distance })
-                .collect();
-            hits.sort_by(|a, b| a.distance.total_cmp(&b.distance).then_with(|| a.id.cmp(&b.id)));
-            if cap != usize::MAX {
-                hits.truncate(cap);
-            }
-            hits
+            self.nearest_rows(start, distances, cap)
         });
-        approx.truncate(fetch);
-        OBS_RERANK.add(approx.len() as u64);
-        let mut exact: Vec<Neighbor> = approx
-            .into_iter()
-            .map(|h| Neighbor {
-                id: h.id,
-                distance: self.metric.prepared_distance(query, self.vector(h.id)),
-            })
-            .collect();
-        exact.sort_by(|a, b| a.distance.total_cmp(&b.distance).then_with(|| a.id.cmp(&b.id)));
-        exact.truncate(k);
-        exact
+        self.rerank(query, approx, k)
     }
 
     /// PQ probe: build one ADC table for the query, approximate-scan all
@@ -317,35 +399,14 @@ impl<M: Metric> ExactIndex<M> {
     /// just those and return the true top-`k`.
     fn search_pq(&self, query: &[f32], pq: &PqStore, k: usize) -> Vec<Neighbor> {
         let table = pq.table(query);
-        let fetch = pq_rerank_overfetch(k);
         OBS_PQ.add(self.len() as u64);
-        let mut approx = self.top_by(fetch, |start, end, cap| {
+        let approx = self.top_by(pq_rerank_overfetch(k), |start, end, cap| {
             let mut sums = Vec::new();
             let mut distances = Vec::new();
             table.distance_block(pq.rows(start, end), &mut sums, &mut distances);
-            let mut hits: Vec<Neighbor> = distances
-                .into_iter()
-                .enumerate()
-                .map(|(off, distance)| Neighbor { id: start + off, distance })
-                .collect();
-            hits.sort_by(|a, b| a.distance.total_cmp(&b.distance).then_with(|| a.id.cmp(&b.id)));
-            if cap != usize::MAX {
-                hits.truncate(cap);
-            }
-            hits
+            self.nearest_rows(start, distances, cap)
         });
-        approx.truncate(fetch);
-        OBS_RERANK.add(approx.len() as u64);
-        let mut exact: Vec<Neighbor> = approx
-            .into_iter()
-            .map(|h| Neighbor {
-                id: h.id,
-                distance: self.metric.prepared_distance(query, self.vector(h.id)),
-            })
-            .collect();
-        exact.sort_by(|a, b| a.distance.total_cmp(&b.distance).then_with(|| a.id.cmp(&b.id)));
-        exact.truncate(k);
-        exact
+        self.rerank(query, approx, k)
     }
 
     /// `k` nearest neighbours for every query, computed in parallel (one
@@ -369,8 +430,8 @@ impl<M: Metric> ExactIndex<M> {
         self.metric.prepared_distance_block(&query, &self.data, &mut distances);
         let mut hits: Vec<Neighbor> = distances
             .into_iter()
-            .enumerate()
-            .filter_map(|(id, distance)| (distance <= radius).then_some(Neighbor { id, distance }))
+            .zip(&self.ids)
+            .filter_map(|(distance, &id)| (distance <= radius).then_some(Neighbor { id, distance }))
             .collect();
         hits.sort_by(|a, b| {
             a.distance
@@ -380,6 +441,51 @@ impl<M: Metric> ExactIndex<M> {
         });
         hits
     }
+}
+
+/// A hit in scan order: by distance (`f32::total_cmp`), then by id.
+struct Ranked(Neighbor);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.distance.total_cmp(&other.0.distance).then_with(|| self.0.id.cmp(&other.0.id))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The `k` first of `hits` in scan order, closest first: exactly what
+/// sorting them all and keeping `k` returns, while holding at most `k`.
+fn top_k(hits: impl IntoIterator<Item = Neighbor>, k: usize) -> Vec<Neighbor> {
+    let mut hits = hits.into_iter();
+    let mut kept: BinaryHeap<Ranked> = hits.by_ref().take(k).map(Ranked).collect();
+    if let Some(mut bound) = kept.peek().map(|worst| worst.0.distance) {
+        for hit in hits {
+            // Most rows lose to the worst one kept on distance alone.
+            if hit.distance.total_cmp(&bound).is_gt() {
+                continue;
+            }
+            let mut worst = kept.peek_mut().expect("k > 0 rows kept");
+            if Ranked(hit) < *worst {
+                *worst = Ranked(hit);
+            }
+            drop(worst);
+            bound = kept.peek().expect("k > 0 rows kept").0.distance;
+        }
+    }
+    kept.into_sorted_vec().into_iter().map(|r| r.0).collect()
 }
 
 #[cfg(test)]
@@ -620,6 +726,105 @@ mod tests {
         let query = clustered(1, 5, 8).pop().unwrap();
         let run = |threads| pas_par::with_threads(threads, || idx.search(&query, 9));
         assert_eq!(run(1), run(8));
+    }
+
+    #[test]
+    fn remove_moves_the_last_row_in_and_keeps_every_id() {
+        let mut idx = index_with_points();
+        assert!(idx.remove(1));
+        assert!(!idx.remove(1), "a removed id stays removed");
+        assert!(!idx.remove(9), "an id never handed out");
+        assert_eq!(idx.len(), 3);
+        // The last row now sits where id 1's did; each id keeps its vector.
+        assert_eq!(idx.vector(3), &[3.0, 3.0]);
+        assert_eq!(idx.vector(2), &[0.0, 2.0]);
+        let ids = |hits: Vec<Neighbor>| hits.into_iter().map(|h| h.id).collect::<Vec<_>>();
+        assert_eq!(ids(idx.search(&[1.0, 0.0], 10)), vec![0, 2, 3]);
+        assert_eq!(ids(idx.search_radius(&[3.0, 3.0], 0.5)), vec![3]);
+        // Ids keep counting past removed ones.
+        assert_eq!(idx.insert(vec![1.0, 0.1]), 4);
+        assert_eq!(ids(idx.search(&[1.0, 0.0], 2)), vec![4, 0]);
+        for id in [0, 2, 3, 4] {
+            assert!(idx.remove(id));
+        }
+        assert!(idx.is_empty() && idx.search(&[0.0, 0.0], 3).is_empty());
+        // An emptied index takes a new width.
+        assert_eq!(idx.insert(vec![1.0, 2.0, 3.0]), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "was removed")]
+    fn a_removed_id_has_no_vector() {
+        let mut idx = index_with_points();
+        idx.remove(2);
+        idx.vector(2);
+    }
+
+    #[test]
+    fn chunked_scan_after_removes_matches_a_full_sort() {
+        let mut idx = ExactIndex::new(EuclideanDistance);
+        let n = super::ExactIndex::<EuclideanDistance>::SCAN_CHUNK * 2 + 17;
+        let point = |i: usize| vec![(i as f32 * 0.37).sin(), (i as f32 * 0.11).cos()];
+        for i in 0..n {
+            idx.insert(point(i));
+        }
+        for id in (0..n).step_by(5) {
+            assert!(idx.remove(id));
+        }
+        let query = [0.2, -0.4];
+        let mut want: Vec<Neighbor> = (0..n)
+            .filter(|id| id % 5 != 0)
+            .map(|id| Neighbor { id, distance: EuclideanDistance.distance(&query, &point(id)) })
+            .collect();
+        want.sort_by(|a, b| a.distance.total_cmp(&b.distance).then_with(|| a.id.cmp(&b.id)));
+        want.truncate(40);
+        let run = |threads| pas_par::with_threads(threads, || idx.search(&query, 40));
+        let bits = |hits: &[Neighbor]| {
+            hits.iter().map(|h| (h.id, h.distance.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&run(1)), bits(&want));
+        assert_eq!(bits(&run(8)), bits(&want));
+    }
+
+    #[test]
+    fn from_rows_answers_like_the_saved_index() {
+        let mut idx = ExactIndex::new(CosineDistance);
+        for v in ring(60) {
+            idx.insert(v);
+        }
+        for id in (0..60).step_by(3) {
+            idx.remove(id);
+        }
+        let live: Vec<usize> = (0..60).filter(|id| id % 3 != 0).collect();
+        let rows = live.iter().rev().map(|&id| (id, idx.norm(id), idx.vector(id).to_vec()));
+        let mut restored = ExactIndex::from_rows(CosineDistance, 60, rows);
+        assert_eq!(restored.len(), idx.len());
+        for q in ring(60).iter().step_by(7) {
+            let bits = |hits: Vec<Neighbor>| {
+                hits.into_iter().map(|h| (h.id, h.distance.to_bits())).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(restored.search(q, 5)), bits(idx.search(q, 5)));
+        }
+        for &id in &live {
+            assert_eq!(restored.norm(id).to_bits(), idx.norm(id).to_bits());
+        }
+        assert!(!restored.remove(3), "a dead id stays dead");
+        assert_eq!(restored.insert(vec![0.1, 0.2, 0.3, 0.4]), 60);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats or is not below")]
+    fn from_rows_refuses_an_id_past_next_id() {
+        ExactIndex::from_rows(EuclideanDistance, 2, [(2, 1.0, vec![1.0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot remove rows")]
+    fn remove_refuses_an_index_with_a_code_tier() {
+        let mut idx = ExactIndex::new(CosineDistance);
+        idx.insert(vec![1.0, 0.0]);
+        idx.set_quantization(true);
+        idx.remove(0);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! - [`hnsw`] — a Hierarchical Navigable Small World index (Malkov &
 //!   Yashunin, 2016): multi-layer greedy graph search, `ef`-bounded beam
 //!   construction, seeded level assignment.
-//! - [`exact`] — a brute-force scanner with the same query interface, used
-//!   as the ground truth in recall tests and as the baseline in benches.
+//! - [`exact`] — a brute-force scanner with the same query interface and
+//!   stable ids under removal: the semantic cache's near tier, the ground
+//!   truth in recall tests and the baseline in benches.
 //! - [`kmeans`] — seeded k-means++ clustering for the grouping step.
 //! - [`dedup`] — the near-duplicate grouping engine built on the index.
 //! - [`minhash`] — MinHash signatures + LSH banding: the classical

@@ -1,12 +1,15 @@
 //! Property-based tests for the ANN substrate: HNSW against the exact
-//! oracle, k-means invariants, dedup invariants.
+//! oracle, the exact index under removal against a full sort, k-means
+//! invariants, dedup invariants.
 
 use proptest::prelude::*;
 
 use pas_ann::{
     kmeans, CosineDistance, DedupConfig, Deduplicator, EuclideanDistance, ExactIndex, Hnsw,
-    HnswConfig, KMeansConfig,
+    HnswConfig, KMeansConfig, Metric,
 };
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 fn vectors(n: std::ops::Range<usize>, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
     prop::collection::vec(prop::collection::vec(-1.0f32..1.0, dim..=dim), n)
@@ -311,6 +314,64 @@ proptest! {
                 prop_assert_eq!(g.id, w.id, "query {}", qi);
                 prop_assert_eq!(g.distance.to_bits(), w.distance.to_bits(), "query {}", qi);
             }
+        }
+    }
+
+    // After any script of inserts and removes, every search returns what
+    // sorting all survivors by `(distance, id)` and keeping `k` returns,
+    // bit for bit, so a removed id never appears. Coordinates come from a
+    // five-value grid, so exact distance ties (and zero vectors) are
+    // common and the id tie-break is exercised.
+    #[test]
+    fn exact_index_matches_a_sort_of_the_survivors(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let grid = [-1.0f32, -0.5, 0.0, 0.5, 1.0];
+        let draw = |rng: &mut StdRng| -> Vec<f32> {
+            (0..4).map(|_| grid[rng.random_range(0..grid.len())]).collect()
+        };
+        let prepared = |mut v: Vec<f32>| {
+            CosineDistance.prepare(&mut v);
+            v
+        };
+        let mut index = ExactIndex::new(CosineDistance);
+        let mut survivors: Vec<(usize, Vec<f32>)> = Vec::new();
+        let mut removed: Vec<usize> = Vec::new();
+        for step in 0..rng.random_range(1..160) {
+            if survivors.is_empty() || rng.random_range(0..3) > 0 {
+                let v = draw(&mut rng);
+                let id = index.insert(v.clone());
+                survivors.push((id, prepared(v)));
+            } else {
+                let (id, _) = survivors.swap_remove(rng.random_range(0..survivors.len()));
+                prop_assert!(index.remove(id), "step {}: live id {} not removed", step, id);
+                removed.push(id);
+            }
+            let query = draw(&mut rng);
+            let q = prepared(query.clone());
+            let k = rng.random_range(0..survivors.len() + 2);
+            let mut want: Vec<(usize, f32)> = survivors
+                .iter()
+                .map(|(id, v)| (*id, CosineDistance.prepared_distance(&q, v)))
+                .collect();
+            want.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            want.truncate(k);
+            let bits = |hits: &[(usize, f32)]| {
+                hits.iter().map(|&(id, d)| (id, d.to_bits())).collect::<Vec<_>>()
+            };
+            let got: Vec<(usize, f32)> =
+                index.search(&query, k).into_iter().map(|n| (n.id, n.distance)).collect();
+            prop_assert_eq!(bits(&got), bits(&want), "step {}", step);
+            prop_assert_eq!(index.len(), survivors.len());
+            let everything = index.search_radius(&query, f32::INFINITY);
+            prop_assert!(everything.iter().all(|n| !removed.contains(&n.id)), "step {}", step);
+            for &id in &removed {
+                prop_assert!(!index.remove(id), "step {}: id {} removed twice", step, id);
+            }
+        }
+        for (id, v) in &survivors {
+            let stored: Vec<u32> = index.vector(*id).iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(stored, want, "id {}", id);
         }
     }
 }

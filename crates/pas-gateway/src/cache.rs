@@ -9,20 +9,23 @@
 //! 1. **Exact tier** — a hash map from the prompt string to its cached
 //!    complement. Free of caveats: an exact hit returns bit-identically
 //!    what the optimizer would have produced.
-//! 2. **Near tier** — the prompt is embedded (`pas-embed`) and probed
-//!    against a cosine [`Hnsw`] (`pas-ann`) over the cached prompts; a
-//!    neighbour within distance `τ` serves *its* cached response. This is a
-//!    deliberate behaviour change gated behind `τ` — at the default
-//!    `τ = 0` the tier is off and the cache is exact-only.
+//! 2. **Near tier** — the prompt is embedded (`pas-embed`) and scanned
+//!    against the cached prompts' embeddings in a cosine [`ExactIndex`]
+//!    (`pas-ann`); the nearest one within distance `τ` serves *its* cached
+//!    response, ties going to the smaller entry id. This is a deliberate
+//!    behaviour change gated behind `τ` — at the default `τ = 0` the tier
+//!    is off and the cache is exact-only.
 //!
-//! Both tiers share one LRU capacity bound. Evicted entries are unlinked
-//! from the HNSW graph incrementally ([`Hnsw::remove`] re-links the
-//! victim's neighborhood in place), so probe cost tracks the live set
-//! without rebuild pauses. A full rebuild survives as a rare fallback that
-//! reclaims the dead entries' string storage once they heavily outnumber
-//! the live set. The near tier can additionally run its graph traversal on
-//! int8-quantized codes ([`SemanticCacheConfig::quantized`]) — the exact
-//! f32 re-rank inside `pas-ann` keeps the served neighbors bit-identical.
+//! Both tiers share one LRU capacity bound. The index holds one row per
+//! live entry: an install appends a row, and an eviction removes the
+//! victim's at once ([`ExactIndex::remove`] moves the last row into its
+//! place), so a scan visits only live rows. The scan is exact and needs
+//! no graph. Up to about 2 000 live rows of 64 floats, one scan costs less
+//! than one HNSW search, and an install or eviction costs a row copy
+//! instead of a graph insert or re-link, which is what an evicting cache
+//! pays on every install (DESIGN.md §9 has the measured costs). A
+//! compaction survives as a rare fallback that reclaims the dead entries'
+//! string storage once they heavily outnumber the live set.
 //!
 //! A near-tier probe is a pure function of the prompt and the index, and
 //! the index changes only when an entry is installed, evicted or
@@ -30,8 +33,8 @@
 //! serves the prompt and at what distance, or none — keyed by the prompt,
 //! and clears the memo at every such change and whenever it holds
 //! `capacity` prompts. A repeat near hit then skips the embedding and the
-//! HNSW search but still touches the entry, counts a near hit and serves
-//! the entry's current response. The memo is derived state: it is never
+//! scan but still touches the entry, counts a near hit and serves the
+//! entry's current response. The memo is derived state: it is never
 //! logged, checkpointed, replicated or counted against capacity.
 //!
 //! The cache is a plain `&mut self` structure: the gateway's event loop is
@@ -43,8 +46,9 @@
 //! every state change — entry insertions (meta + raw-embedding vector
 //! records), recency touches, and evictions (tombstones) — so a reopened
 //! cache reconstructs the live one *bit-identically*: same LRU order, same
-//! HNSW graph, same future probes. [`SemanticCache::persist_to`] adds a
-//! checkpoint so the next open skips replay (warm restart). Every append
+//! near-tier rows, same future probes. [`SemanticCache::persist_to`] adds a
+//! checkpoint, which carries the live rows themselves, so the next open
+//! skips replay and neither re-embeds nor rebuilds (warm restart). Every append
 //! is flushed before the serving path continues, which is what makes a
 //! kill-without-checkpoint recoverable: a cold reopen replays the full log
 //! and lands exactly where the killed process was.
@@ -53,7 +57,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use pas_ann::{CosineDistance, Hnsw, HnswConfig};
+use pas_ann::{CosineDistance, ExactIndex, HnswConfig};
 use pas_embed::Embedder;
 use pas_fault::DiskFaults;
 use pas_store::{
@@ -70,18 +74,12 @@ pub struct SemanticCacheConfig {
     /// (`1 − cos`). `0.0` (the default) disables the near tier: only exact
     /// string matches hit.
     pub tau: f32,
-    /// Beam width for near-tier probes.
+    /// Ignored by the cache, whose near tier is an exact scan. Kept, with
+    /// `hnsw`, for callers that size an HNSW index like the one the near
+    /// tier used to search.
     pub ef: usize,
-    /// Construction parameters for the ANN index over cached prompts.
+    /// Ignored by the cache; see `ef`.
     pub hnsw: HnswConfig,
-    /// Run near-tier graph traversal on int8-quantized codes with exact
-    /// f32 re-rank (identical results, ~4x smaller probe working set).
-    pub quantized: bool,
-    /// Run near-tier graph traversal on product-quantized codes (~dim/8
-    /// bytes per cached prompt, ~32x below f32) with exact f32 re-rank.
-    /// Wins over `quantized` when both are set; the codebook trains lazily
-    /// once enough prompts are cached (probes stay f32 before that).
-    pub pq: bool,
 }
 
 impl Default for SemanticCacheConfig {
@@ -90,9 +88,7 @@ impl Default for SemanticCacheConfig {
             capacity: 4096,
             tau: 0.0,
             ef: 32,
-            hnsw: HnswConfig { m: 8, ef_construction: 48, seed: 0x9a7e }, // small serving index
-            quantized: false,
-            pq: false,
+            hnsw: HnswConfig { m: 8, ef_construction: 48, seed: 0x9a7e },
         }
     }
 }
@@ -126,8 +122,9 @@ const FIELD_PROMPT: &str = "p";
 const FIELD_RESPONSE: &str = "r";
 /// Meta field key holding the entry version.
 const FIELD_VERSION: &str = "v";
-/// Magic prefix of the checkpoint payload (v2 added per-entry versions).
-const SNAP_PAYLOAD_MAGIC: &[u8] = b"PASCSNP2";
+/// Magic prefix of the checkpoint payload (v2 added per-entry versions;
+/// v3 carries the live near-tier rows where v2 carried an HNSW graph).
+const SNAP_PAYLOAD_MAGIC: &[u8] = b"PASCSNP3";
 
 /// FNV-1a over the prompt bytes — the key coordinate of
 /// [`SemanticCache::digest`]. Stable across processes and architectures,
@@ -142,20 +139,12 @@ pub fn entry_hash(key: &str) -> u64 {
 }
 
 /// FNV-1a over the fields that determine how a replayed log drives the
-/// cache: the index geometry and probe tier, plus whether the near tier
-/// exists at all. Two configs with the same fingerprint replay a log to
-/// the same state; anything else is a hard error at open.
+/// cache: whether the near tier exists at all. Two configs with the same
+/// fingerprint replay a log to the same state; anything else is a hard
+/// error at open.
 fn config_fingerprint(config: &SemanticCacheConfig) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in [
-        u64::from_le_bytes(*b"PASCACHE"),
-        (config.tau > 0.0) as u64,
-        config.quantized as u64,
-        config.pq as u64,
-        config.hnsw.m as u64,
-        config.hnsw.ef_construction as u64,
-        config.hnsw.seed,
-    ] {
+    for x in [u64::from_le_bytes(*b"PASCACHE"), (config.tau > 0.0) as u64] {
         h ^= x;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -212,18 +201,20 @@ struct Entry {
     version: u64,
 }
 
-/// Exact-match LRU map + tombstoned ANN near-duplicate tier (module docs).
+/// Exact-match LRU map + exact-scan near-duplicate tier (module docs).
 pub struct SemanticCache<E> {
     config: SemanticCacheConfig,
     embedder: E,
     /// prompt → entry id, live entries only.
     exact: HashMap<String, usize>,
-    /// All entries ever inserted, id-aligned with the ANN index; dead ones
-    /// are tombstones until the next rebuild.
+    /// All entries ever inserted, id-aligned with the near-tier index;
+    /// dead ones are tombstones until the next compaction.
     entries: Vec<Entry>,
     /// stamp → entry id, live entries only (stamps are unique).
     lru: std::collections::BTreeMap<u64, usize>,
-    index: Hnsw<CosineDistance>,
+    /// One row per live entry when `τ > 0`, under the entry's id; empty
+    /// otherwise.
+    index: ExactIndex<CosineDistance>,
     /// prompt → what its last near-tier probe found: the serving entry's
     /// id and distance, or `None`. Valid until the index next changes.
     near_memo: HashMap<String, Option<(usize, f32)>>,
@@ -240,19 +231,13 @@ impl<E: Embedder> SemanticCache<E> {
     /// Creates an empty cache that embeds with `embedder` (only used when
     /// `config.tau > 0`).
     pub fn new(config: SemanticCacheConfig, embedder: E) -> Self {
-        let mut index = Hnsw::new(config.hnsw.clone(), CosineDistance);
-        if config.pq {
-            index.set_product_quantization(true);
-        } else if config.quantized {
-            index.set_quantization(true);
-        }
         SemanticCache {
             config,
             embedder,
             exact: HashMap::new(),
             entries: Vec::new(),
             lru: std::collections::BTreeMap::new(),
-            index,
+            index: ExactIndex::new(CosineDistance),
             near_memo: HashMap::new(),
             clock: 0,
             hits: 0,
@@ -266,7 +251,7 @@ impl<E: Embedder> SemanticCache<E> {
     /// Opens (or creates) a persistent cache backed by the segment log in
     /// `dir`, rebuilding state per `mode`. The directory must have been
     /// written under the same [`config_fingerprint`]-relevant config
-    /// (τ on/off, probe tier, HNSW geometry) — a mismatch is a hard error.
+    /// (τ on/off) — a mismatch is a hard error.
     /// All subsequent state changes are write-through-logged.
     pub fn open_from(
         config: SemanticCacheConfig,
@@ -322,8 +307,8 @@ impl<E: Embedder> SemanticCache<E> {
     /// position, so the next [`OpenMode::Warm`] open restores it without
     /// replay. On a cache that is not yet persistent, first attaches a
     /// fresh store in `dir` (the directory must not already hold a log);
-    /// adoption runs a compaction, so for `τ > 0` the graph is rebuilt
-    /// exactly as the fallback compaction would.
+    /// adoption runs a compaction, so ids are renumbered exactly as the
+    /// fallback compaction would renumber them.
     pub fn persist_to(&mut self, dir: &Path) -> io::Result<()> {
         if let Some(store) = &self.store {
             if store.log.dir() != dir {
@@ -473,9 +458,11 @@ impl<E: Embedder> SemanticCache<E> {
         Ok(())
     }
 
-    /// Serializes the full cache state: clock, every entry slot (dead ones
-    /// as stamp-only placeholders — replay just needs their count), and
-    /// the HNSW graph dump when the near tier is on.
+    /// Serializes the full cache state: the clock, every entry slot (dead
+    /// ones as stamp-only placeholders — replay just needs their count),
+    /// then the row width and, with the near tier on, each live entry's
+    /// index row in id order: the norm, then the prepared floats, as
+    /// [`ExactIndex::from_rows`] takes them back.
     fn snapshot_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(SNAP_PAYLOAD_MAGIC);
@@ -489,14 +476,27 @@ impl<E: Embedder> SemanticCache<E> {
             wire::put_str(&mut out, p);
             wire::put_str(&mut out, r);
         }
-        if self.config.tau > 0.0 {
-            let dump = self.index.dump();
-            wire::put_u64(&mut out, dump.len() as u64);
-            out.extend_from_slice(&dump);
-        } else {
-            wire::put_u64(&mut out, 0);
+        let dim = self.row_width();
+        wire::put_u64(&mut out, dim as u64);
+        if dim > 0 {
+            for id in (0..self.entries.len()).filter(|&id| self.entries[id].alive) {
+                wire::put_f32(&mut out, self.index.norm(id));
+                for &x in self.index.vector(id) {
+                    wire::put_f32(&mut out, x);
+                }
+            }
         }
         out
+    }
+
+    /// Width of the near tier's rows: the embedder's, or 0 with the tier
+    /// off.
+    fn row_width(&self) -> usize {
+        if self.config.tau > 0.0 {
+            self.embedder.dim()
+        } else {
+            0
+        }
     }
 
     /// Restores the state serialized by [`SemanticCache::snapshot_payload`],
@@ -505,12 +505,13 @@ impl<E: Embedder> SemanticCache<E> {
     /// as it was):
     /// - live prompts and stamps are unique and no stamp runs ahead of the
     ///   clock, so the exact map and the LRU mirror each other;
-    /// - with the near tier on, the graph has one slot per entry, removed
-    ///   exactly where the entry is dead, and every live row is
-    ///   `embedder.dim()` wide. A graph with no live row cannot show its
-    ///   width, so a non-empty checkpoint without one is refused (its log
-    ///   holds no live entry and replays quickly); an empty one keeps the
-    ///   fresh index.
+    /// - the row width is this cache's, and the rows are exactly one per
+    ///   live entry (none with the near tier off), so the index holds a row
+    ///   of the embedder's width for every live entry and none for a dead
+    ///   one.
+    ///
+    /// The entry count is checked against the payload's length, and every
+    /// row against the bytes left, before anything is allocated.
     fn restore_snapshot(&mut self, payload: &[u8]) -> io::Result<()> {
         let mut r = wire::Reader::new(payload);
         if r.take(SNAP_PAYLOAD_MAGIC.len())? != SNAP_PAYLOAD_MAGIC {
@@ -539,28 +540,25 @@ impl<E: Embedder> SemanticCache<E> {
             }
             entries.push(Entry { prompt, response, alive, stamp, version });
         }
-        let dump_len = r.u64()? as usize;
-        let dump = r.take(dump_len)?;
+        let dim = self.row_width();
+        if r.u64()? != dim as u64 {
+            return Err(wire::corrupt("cache snapshot: row width"));
+        }
+        let mut rows = Vec::new();
+        for id in (0..n).filter(|&id| dim > 0 && entries[id].alive) {
+            let norm = r.f32()?;
+            let row = r.take(dim * std::mem::size_of::<f32>())?;
+            let row = row
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+                .collect();
+            rows.push((id, norm, row));
+        }
         if !r.is_empty() {
             return Err(wire::corrupt("cache snapshot: trailing bytes"));
         }
-        if self.config.tau > 0.0 && n > 0 {
-            let index = Hnsw::load(dump, CosineDistance).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("pas-gateway: cache snapshot graph: {e}"),
-                )
-            })?;
-            let dim = self.embedder.dim();
-            let aligned = index.len() == n
-                && !exact.is_empty()
-                && entries.iter().enumerate().all(|(id, e)| {
-                    index.is_removed(id) != e.alive && (!e.alive || index.vector(id).len() == dim)
-                });
-            if !aligned {
-                return Err(wire::corrupt("cache snapshot: graph/sidecar mismatch"));
-            }
-            self.index = index;
+        if dim > 0 {
+            self.index = ExactIndex::from_rows(CosineDistance, n, rows);
         }
         self.clock = clock;
         self.entries = entries;
@@ -702,11 +700,11 @@ impl<E: Embedder> SemanticCache<E> {
 
     /// The near tier for prompts the exact tier missed: for each prompt,
     /// the live entry that serves it and their distance, or `None`. The
-    /// rule is that the first live neighbour among the top 4 hits only
-    /// within τ. The memo answers what it can; the other prompts are
-    /// embedded and probed (several through one [`Hnsw::search_batch`]
-    /// call), and their answers are memoized. Callers check that the tier
-    /// is on and the cache is not empty.
+    /// rule is that the nearest live entry hits only within τ, ties going
+    /// to the smaller id. The memo answers what it can; the other prompts
+    /// are embedded and scanned against every live row, and their answers
+    /// are memoized. Callers check that the tier is on and the cache is
+    /// not empty.
     fn near_tier(&mut self, prompts: &[&str]) -> Vec<Option<(usize, f32)>> {
         let mut hits = Vec::with_capacity(prompts.len());
         let mut todo = Vec::new();
@@ -717,23 +715,12 @@ impl<E: Embedder> SemanticCache<E> {
             }
             hits.push(memo.flatten());
         }
-        if todo.is_empty() {
-            return hits;
-        }
-        let queries: Vec<Vec<f32>> =
-            todo.iter().map(|&i| self.embedder.embed(prompts[i])).collect();
-        // Both walks return the same neighbours; a lone query skips the
-        // batch bookkeeping.
-        let found = match queries.as_slice() {
-            [query] => vec![self.index.search(query, 4, self.config.ef)],
-            _ => self.index.search_batch(&queries, 4, self.config.ef),
-        };
-        for (&i, neighbors) in todo.iter().zip(found) {
-            // Over-fetch a little so a tombstoned nearest neighbour does
-            // not hide a live one right behind it.
-            let hit = neighbors
-                .into_iter()
-                .find(|n| self.entries[n.id].alive)
+        for i in todo {
+            let query = self.embedder.embed(prompts[i]);
+            let hit = self
+                .index
+                .search(&query, 1)
+                .first()
                 .filter(|n| n.distance <= self.config.tau)
                 .map(|n| (n.id, n.distance));
             if self.near_memo.len() >= self.config.capacity {
@@ -750,8 +737,7 @@ impl<E: Embedder> SemanticCache<E> {
     /// already counted these prompts when they arrived; this is the second
     /// chance an enqueued request gets after earlier batches completed and
     /// installed fresh complements. Near-tier probes go through the same
-    /// memo as `lookup`; the prompts it cannot answer run through one
-    /// [`Hnsw::search_batch`] call. Hits refresh recency.
+    /// memo and scan as `lookup`. Hits refresh recency.
     pub fn lookup_batch(&mut self, prompts: &[&str]) -> Vec<Option<String>> {
         if self.config.capacity == 0 {
             return vec![None; prompts.len()];
@@ -791,7 +777,7 @@ impl<E: Embedder> SemanticCache<E> {
     /// Versioned insert, the replication primitive: applies `(response,
     /// version)` only when it advances the entry — a fresh prompt installs
     /// at `version`, a live entry upgrades in place iff `version` is
-    /// strictly newer (the id and its ANN row, keyed by the prompt
+    /// strictly newer (the id and its near-tier row, keyed by the prompt
     /// embedding, stay put). Older and equal versions are no-ops, so
     /// duplicated or reordered replication messages are idempotent and a
     /// replica can never regress to a stale response. Returns whether the
@@ -833,8 +819,8 @@ impl<E: Embedder> SemanticCache<E> {
             self.exact.remove(&self.entries[victim].prompt);
             self.entries[victim].alive = false;
             if self.config.tau > 0.0 {
-                // Unlink the victim from the ANN graph in place; probe cost
-                // stays proportional to the live set without a rebuild.
+                // The victim's row leaves the scan now: the last row moves
+                // into its place, so a scan visits live rows only.
                 self.index.remove(victim);
             }
             self.log_record(Record::Tombstone { id: victim as u64 });
@@ -842,11 +828,11 @@ impl<E: Embedder> SemanticCache<E> {
         }
         self.clock += 1;
         let id = self.entries.len();
-        // Exact-only mode never probes the ANN tier: skip embedding and the
+        // Exact-only mode never probes the near tier: skip embedding and the
         // index entirely and keep ids aligned with `entries` alone. The raw
-        // (unprepared) embedding is what gets logged — `Hnsw::insert`
+        // (unprepared) embedding is what gets logged — `ExactIndex::insert`
         // prepares internally, so replaying the logged bits reproduces the
-        // graph bit-exactly.
+        // row bit-exactly.
         let raw = if self.config.tau > 0.0 { self.embedder.embed(prompt) } else { Vec::new() };
         if self.store.is_some() {
             // Meta first, vector second: the vector record is the commit
@@ -861,7 +847,7 @@ impl<E: Embedder> SemanticCache<E> {
         if self.config.tau > 0.0 {
             let got = self.index.insert(raw);
             debug_assert_eq!(got, id, "index ids must align with entries");
-            // This insert and the evictions above changed the graph, so
+            // This insert and the evictions above changed the rows, so
             // every memoized probe answer may be stale.
             self.near_memo.clear();
         }
@@ -878,11 +864,10 @@ impl<E: Embedder> SemanticCache<E> {
         true
     }
 
-    /// Fallback compaction: evicted ids are already unlinked from the graph
-    /// incrementally, but dead `entries` slots still pin their prompt and
-    /// response strings (and empty graph slots). Once the dead heavily
-    /// outnumber the live set, rebuild everything from the live entries to
-    /// reclaim that storage.
+    /// Fallback compaction: evicted rows already left the index, but dead
+    /// `entries` slots still pin their prompt and response strings. Once
+    /// the dead heavily outnumber the live set, renumber the live entries
+    /// densely to reclaim that storage.
     fn maybe_compact(&mut self) {
         let dead = self.entries.len() - self.exact.len();
         if dead <= 8 * self.exact.len().max(1) || dead < 64 {
@@ -891,15 +876,18 @@ impl<E: Embedder> SemanticCache<E> {
         self.compact_now();
     }
 
-    /// The rebuild itself, shared by the fallback trigger and store
+    /// The compaction itself, shared by the fallback trigger and store
     /// adoption ([`SemanticCache::persist_to`] on an unpersisted cache).
     fn compact_now(&mut self) {
-        let live: Vec<Entry> =
-            std::mem::take(&mut self.entries).into_iter().filter(|e| e.alive).collect();
+        let (old_ids, live): (Vec<usize>, Vec<Entry>) = std::mem::take(&mut self.entries)
+            .into_iter()
+            .enumerate()
+            .filter(|(_, e)| e.alive)
+            .unzip();
         // Sync the log first: compact it down to exactly the records whose
-        // replay reproduces the rebuilt state below (renumbered ids, same
-        // stamps, re-embedded raw vectors — embedding is deterministic, so
-        // the bits match what the rebuild inserts).
+        // replay reproduces the renumbered state below (same stamps,
+        // re-embedded raw vectors — embedding is deterministic, so a
+        // replay prepares the very rows the index holds).
         if let Some(store) = &mut self.store {
             if store.error.is_none() {
                 let mut records = Vec::with_capacity(live.len() * 2);
@@ -925,21 +913,20 @@ impl<E: Embedder> SemanticCache<E> {
                 }
             }
         }
-        self.index = Hnsw::new(self.config.hnsw.clone(), CosineDistance);
-        if self.config.pq {
-            self.index.set_product_quantization(true);
-        } else if self.config.quantized {
-            self.index.set_quantization(true);
+        if self.config.tau > 0.0 {
+            // Each live row moves to its entry's new id as it is.
+            let rows: Vec<_> = old_ids
+                .iter()
+                .enumerate()
+                .map(|(id, &old)| (id, self.index.norm(old), self.index.vector(old).to_vec()))
+                .collect();
+            self.index = ExactIndex::from_rows(CosineDistance, live.len(), rows);
         }
-        // A new graph over renumbered ids: no memoized answer survives.
+        // Renumbered ids: no memoized answer survives.
         self.near_memo.clear();
         self.exact.clear();
         self.lru.clear();
         for (id, entry) in live.iter().enumerate() {
-            if self.config.tau > 0.0 {
-                let got = self.index.insert(self.embedder.embed(&entry.prompt));
-                debug_assert_eq!(got, id);
-            }
             self.exact.insert(entry.prompt.clone(), id);
             self.lru.insert(entry.stamp, id);
         }
@@ -1131,8 +1118,8 @@ mod tests {
     fn compaction_preserves_behavior_under_churn() {
         let mut c = cache(4, 0.25);
         // Insert far more distinct prompts than capacity: every eviction
-        // unlinks its victim from the graph incrementally, and the dead
-        // entries pile high enough to cross the fallback-rebuild threshold.
+        // removes its victim's row at once, and the dead entries pile high
+        // enough to cross the fallback-compaction threshold.
         for i in 0..150 {
             let prompt = format!("distinct request number {i} about topic {}", i % 13);
             c.insert(&prompt, &format!("resp-{i}"));
@@ -1150,62 +1137,6 @@ mod tests {
             CacheOutcome::ExactHit(_) => panic!("punctuated variant cannot exact-hit"),
             CacheOutcome::Miss => {} // acceptable: τ may exclude the variant
         }
-    }
-
-    #[test]
-    fn quantized_near_tier_serves_identical_results() {
-        let prompts: Vec<String> = (0..40)
-            .map(|i| format!("request number {i} about subject {} in style {}", i % 7, i % 3))
-            .collect();
-        let run = |quantized: bool| {
-            let config = SemanticCacheConfig {
-                capacity: 16,
-                tau: 0.3,
-                quantized,
-                ..SemanticCacheConfig::default()
-            };
-            let mut c = SemanticCache::new(config, NgramEmbedder::default());
-            let mut log = Vec::new();
-            for p in &prompts {
-                let out = c.lookup(p);
-                if matches!(out, CacheOutcome::Miss) {
-                    c.insert(p, &format!("{p} [c]"));
-                }
-                log.push(format!("{out:?}"));
-                log.push(format!("{:?}", c.lookup(&format!("{p}!"))));
-            }
-            (log, c.hits(), c.near_hits(), c.misses(), c.evictions())
-        };
-        assert_eq!(run(false), run(true), "int8 probe path must not change served results");
-    }
-
-    #[test]
-    fn pq_near_tier_serves_identical_results() {
-        // Enough traffic that the PQ codebook actually trains (the lazy
-        // threshold is PQ_TRAIN_MIN inserts) and evictions churn the index.
-        let prompts: Vec<String> = (0..160)
-            .map(|i| format!("request number {i} about subject {} in style {}", i % 7, i % 3))
-            .collect();
-        let run = |pq: bool| {
-            let config = SemanticCacheConfig {
-                capacity: 96,
-                tau: 0.3,
-                pq,
-                ..SemanticCacheConfig::default()
-            };
-            let mut c = SemanticCache::new(config, NgramEmbedder::default());
-            let mut log = Vec::new();
-            for p in &prompts {
-                let out = c.lookup(p);
-                if matches!(out, CacheOutcome::Miss) {
-                    c.insert(p, &format!("{p} [c]"));
-                }
-                log.push(format!("{out:?}"));
-                log.push(format!("{:?}", c.lookup(&format!("{p}!"))));
-            }
-            (log, c.hits(), c.near_hits(), c.misses(), c.evictions())
-        };
-        assert_eq!(run(false), run(true), "PQ probe path must not change served results");
     }
 
     #[test]
@@ -1369,10 +1300,8 @@ mod tests {
         .unwrap();
         c.insert("a prompt", "a response");
         drop(c);
-        let other = SemanticCacheConfig {
-            hnsw: HnswConfig { seed: 0xdead, ..config.hnsw.clone() },
-            ..config
-        };
+        // An exact-only cache would replay the log into another structure.
+        let other = SemanticCacheConfig { tau: 0.0, ..config };
         let err = SemanticCache::open_from(other, NgramEmbedder::default(), &dir, OpenMode::Replay)
             .err()
             .expect("mismatched config must refuse the log");
@@ -1432,7 +1361,7 @@ mod tests {
             OpenMode::Replay,
         )
         .unwrap();
-        // Cross the fallback-rebuild threshold (compaction_preserves_
+        // Cross the fallback-compaction threshold (compaction_preserves_
         // behavior_under_churn shape) so the log compacts at least once.
         for i in 0..150 {
             let prompt = format!("distinct request number {i} about topic {}", i % 13);
@@ -1539,7 +1468,7 @@ mod tests {
         let c = checkpointed(&dir, 5);
         let mut payload = c.snapshot_payload();
         drop(c);
-        payload[..SNAP_PAYLOAD_MAGIC.len()].copy_from_slice(b"PASCSNP1");
+        payload[..SNAP_PAYLOAD_MAGIC.len()].copy_from_slice(b"PASCSNP2");
         rewrite_checkpoint(&dir, payload);
         let replayed = owned_state(&open_near(&dir, OpenMode::Replay));
         assert_eq!(replayed.len(), 5);
@@ -1547,22 +1476,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Checkpoints an `entries`-entry cache, swaps in the graph of a
-    /// `nodes`-entry one, and checks the warm open replays the log instead
-    /// and then serves both old and fresh entries their own responses.
-    fn a_foreign_graph_replays_the_log(name: &str, entries: usize, nodes: usize) {
+    /// The row section that ends `c`'s checkpoint payload: the row width,
+    /// then one norm and row per live entry.
+    fn row_section(c: &SemanticCache<NgramEmbedder>) -> Vec<u8> {
+        let payload = c.snapshot_payload();
+        let rows = c.len() * (1 + c.embedder.dim()) * 4;
+        payload[payload.len() - 8 - rows..].to_vec()
+    }
+
+    /// Checkpoints an `entries`-entry cache, swaps in the rows of an
+    /// `others`-entry cache embedding `width` floats, and checks the warm
+    /// open replays the log instead and then serves both old and fresh
+    /// entries their own responses.
+    fn foreign_rows_replay_the_log(name: &str, entries: usize, others: usize, width: usize) {
         let dir = tmp(name);
         let c = checkpointed(&dir, entries);
         let mut payload = c.snapshot_payload();
-        payload.truncate(payload.len() - 8 - c.index.dump().len());
+        payload.truncate(payload.len() - row_section(&c).len());
         drop(c);
-        let mut other = SemanticCache::new(near_config(), NgramEmbedder::default());
-        for i in 0..nodes {
+        let mut other = SemanticCache::new(near_config(), NgramEmbedder::new(width, 0x5eed_cafe));
+        for i in 0..others {
             other.insert(&format!("other {i}"), "other");
         }
-        let graph = other.index.dump();
-        wire::put_u64(&mut payload, graph.len() as u64);
-        payload.extend_from_slice(&graph);
+        payload.extend_from_slice(&row_section(&other));
+        let mut restored = SemanticCache::new(near_config(), NgramEmbedder::default());
+        assert!(restored.restore_snapshot(&payload).is_err(), "{name}: foreign rows accepted");
         rewrite_checkpoint(&dir, payload);
 
         let replayed = owned_state(&open_near(&dir, OpenMode::Replay));
@@ -1582,13 +1520,18 @@ mod tests {
     }
 
     #[test]
-    fn a_graph_with_fewer_slots_than_entries_replays_the_log() {
-        a_foreign_graph_replays_the_log("short-graph", 6, 3);
+    fn fewer_rows_than_live_entries_replay_the_log() {
+        foreign_rows_replay_the_log("short-rows", 6, 3, 64);
     }
 
     #[test]
-    fn a_graph_with_more_slots_than_entries_replays_the_log() {
-        a_foreign_graph_replays_the_log("long-graph", 3, 6);
+    fn more_rows_than_live_entries_replay_the_log() {
+        foreign_rows_replay_the_log("long-rows", 3, 6, 64);
+    }
+
+    #[test]
+    fn rows_of_another_width_replay_the_log() {
+        foreign_rows_replay_the_log("narrow-rows", 3, 6, 32);
     }
 
     #[test]
@@ -1597,7 +1540,7 @@ mod tests {
         const MUTATIONS: usize = 2000;
         let dir = tmp("mutated");
         // 23 distinct prompts through 8 slots: the checkpoint holds dead
-        // slots and a graph with removed rows, and the ops after it leave
+        // slots beside the live entries' rows, and the ops after it leave
         // a log suffix for the warm open to replay.
         let mut c = open_near(&dir, OpenMode::Replay);
         drive(&mut c, 0, 30);
@@ -1658,27 +1601,38 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// What a fresh probe of `prompt` finds, embedding and searching
-    /// directly with no memo: the outcome and the id of the entry it
-    /// serves. Every memoized answer must equal it.
+    /// What the cache must answer for `prompt`, found by brute force with
+    /// neither the memo nor the index's scan: the exact entry, else the
+    /// live entry whose prompt embeds nearest (ties to the smaller id) when
+    /// it lies within τ. Returns the outcome and the id of the entry it
+    /// serves. Every lookup must equal it.
     fn probe_direct(
         c: &SemanticCache<NgramEmbedder>,
         prompt: &str,
     ) -> (CacheOutcome, Option<usize>) {
+        use pas_ann::Metric;
         if c.config.capacity == 0 {
             return (CacheOutcome::Miss, None);
         }
         if let Some(&id) = c.exact.get(prompt) {
             return (CacheOutcome::ExactHit(c.entries[id].response.clone()), Some(id));
         }
-        if c.config.tau > 0.0 && !c.exact.is_empty() {
-            let query = c.embedder.embed(prompt);
-            let neighbors = c.index.search(&query, 4, c.config.ef);
-            if let Some(n) = neighbors.into_iter().find(|n| c.entries[n.id].alive) {
-                if n.distance <= c.config.tau {
-                    let response = c.entries[n.id].response.clone();
-                    return (CacheOutcome::NearHit { response, distance: n.distance }, Some(n.id));
-                }
+        if c.config.tau > 0.0 {
+            let prepared = |mut v: Vec<f32>| {
+                CosineDistance.prepare(&mut v);
+                v
+            };
+            let query = prepared(c.embedder.embed(prompt));
+            let nearest = (0..c.entries.len())
+                .filter(|&id| c.entries[id].alive)
+                .map(|id| {
+                    let row = prepared(c.embedder.embed(&c.entries[id].prompt));
+                    (CosineDistance.prepared_distance(&query, &row), id)
+                })
+                .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            if let Some((distance, id)) = nearest.filter(|&(d, _)| d <= c.config.tau) {
+                let response = c.entries[id].response.clone();
+                return (CacheOutcome::NearHit { response, distance }, Some(id));
             }
         }
         (CacheOutcome::Miss, None)
@@ -1713,138 +1667,134 @@ mod tests {
                 _ => format!("request {i} about topic {} in style {}", i % 7, i % 3),
             }
         };
-        for (tier, quantized, pq) in
-            [("f32", false, false), ("int8", true, false), ("pq", false, true)]
-        {
-            // 64 slots: PQ trains when they fill, the fallback compaction
-            // fires past 512 dead ones, and cold inserts evict throughout.
-            let capacity = 64;
-            let config = SemanticCacheConfig {
-                capacity,
-                tau: 0.25,
-                quantized,
-                pq,
-                ..SemanticCacheConfig::default()
+        // 64 slots: the fallback compaction fires past 512 dead ones, and
+        // cold inserts evict throughout.
+        let capacity = 64;
+        let config = SemanticCacheConfig { capacity, tau: 0.25, ..SemanticCacheConfig::default() };
+        let dir = tmp("memo");
+        let mut c = SemanticCache::new(config.clone(), NgramEmbedder::default());
+        let mut rng = StdRng::seed_from_u64(0x3e30);
+        let (mut hits, mut near, mut misses, mut installs) = (0u64, 0u64, 0u64, 0u64);
+        let (mut memo_answers, mut memo_peak, mut compactions, mut cold) = (0, 0, 0, 0);
+        // Counters of the caches a reopen replaced.
+        let mut carried = [0u64; 4];
+        let install = |c: &mut SemanticCache<NgramEmbedder>, p: &str, installs: &mut u64| {
+            *installs += u64::from(c.peek(p).is_none());
+            c.insert(p, &format!("{p} [c]"));
+        };
+        for step in 0..3000 {
+            // Alternate 100-step write phases (cold installs, so the memo
+            // is cleared often) with read phases (hot traffic only, so the
+            // memo answers repeats).
+            let writing = (step / 100) % 2 == 0;
+            if step == 350 {
+                // Adopt a store after lookups, with dead slots to renumber
+                // and a memo to invalidate.
+                assert!(!c.near_memo.is_empty() && c.entries.len() > c.exact.len());
+                c.persist_to(&dir).unwrap();
+            }
+            let reopen = match step {
+                1350 => Some(OpenMode::Warm),
+                1950 => Some(OpenMode::Replay),
+                2550 => Some(OpenMode::Reembed),
+                _ => None,
             };
-            let dir = tmp(&format!("memo-{tier}"));
-            let mut c = SemanticCache::new(config, NgramEmbedder::default());
-            let mut rng = StdRng::seed_from_u64(0x3e30);
-            let (mut hits, mut near, mut misses, mut installs) = (0u64, 0u64, 0u64, 0u64);
-            let (mut memo_answers, mut memo_peak, mut compactions, mut cold) = (0, 0, 0, 0);
-            let install = |c: &mut SemanticCache<NgramEmbedder>, p: &str, installs: &mut u64| {
-                *installs += u64::from(c.peek(p).is_none());
-                c.insert(p, &format!("{p} [c]"));
-            };
-            for step in 0..3000 {
-                // Alternate 100-step write phases (cold installs, so the
-                // memo is cleared often) with read phases (hot traffic
-                // only, so the memo answers repeats).
-                let writing = (step / 100) % 2 == 0;
-                if step == 350 {
-                    // Adopt a store after lookups, with dead slots to
-                    // renumber and a memo to invalidate.
-                    assert!(!c.near_memo.is_empty() && c.entries.len() > c.exact.len(), "{tier}");
+            if let Some(mode) = reopen {
+                // Restart mid-read-phase, with a memo the new process
+                // starts without.
+                assert!(!c.near_memo.is_empty(), "step {step}");
+                if mode == OpenMode::Warm {
                     c.persist_to(&dir).unwrap();
                 }
-                let before = c.entries.len();
-                let pick = |rng: &mut StdRng| hot(rng.random_range(0..24), rng.random_range(0..5));
-                match rng.random_range(0..10) {
-                    0..=5 if writing => {
-                        install(
-                            &mut c,
-                            &format!("cold request {cold} on matter {}", cold % 11),
-                            &mut installs,
-                        );
-                        cold += 1;
+                for (sum, n) in carried.iter_mut().zip([c.hits(), c.near_hits(), c.misses()]) {
+                    *sum += n;
+                }
+                carried[3] += c.evictions();
+                drop(c);
+                c = SemanticCache::open_from(config.clone(), NgramEmbedder::default(), &dir, mode)
+                    .unwrap();
+            }
+            let before = c.entries.len();
+            let pick = |rng: &mut StdRng| hot(rng.random_range(0..24), rng.random_range(0..5));
+            match rng.random_range(0..10) {
+                0..=5 if writing => {
+                    install(
+                        &mut c,
+                        &format!("cold request {cold} on matter {}", cold % 11),
+                        &mut installs,
+                    );
+                    cold += 1;
+                }
+                0..=5 => {
+                    let p = pick(&mut rng);
+                    memo_answers += usize::from(c.near_memo.contains_key(&p));
+                    let (want, id) = probe_direct(&c, &p);
+                    let got = c.lookup(&p);
+                    assert_eq!(outcome_bits(&got), outcome_bits(&want), "step {step}: {p}");
+                    if let Some(id) = id {
+                        assert_eq!(recent_ids(&c, 1), [id], "step {step}: touched");
                     }
-                    0..=5 => {
-                        let p = pick(&mut rng);
-                        memo_answers += usize::from(c.near_memo.contains_key(&p));
-                        let (want, id) = probe_direct(&c, &p);
-                        let got = c.lookup(&p);
-                        assert_eq!(
-                            outcome_bits(&got),
-                            outcome_bits(&want),
-                            "{tier} step {step}: {p}"
-                        );
-                        if let Some(id) = id {
-                            assert_eq!(recent_ids(&c, 1), [id], "{tier} step {step}: touched");
+                    match want {
+                        CacheOutcome::ExactHit(_) => hits += 1,
+                        CacheOutcome::NearHit { .. } => near += 1,
+                        CacheOutcome::Miss => {
+                            misses += 1;
+                            install(&mut c, &p, &mut installs);
                         }
-                        match want {
-                            CacheOutcome::ExactHit(_) => hits += 1,
-                            CacheOutcome::NearHit { .. } => near += 1,
-                            CacheOutcome::Miss => {
-                                misses += 1;
-                                install(&mut c, &p, &mut installs);
-                            }
-                        }
-                    }
-                    6..=8 => {
-                        let batch: Vec<String> =
-                            (0..rng.random_range(1..5)).map(|_| pick(&mut rng)).collect();
-                        let batch: Vec<&str> = batch.iter().map(String::as_str).collect();
-                        memo_answers +=
-                            batch.iter().filter(|p| c.near_memo.contains_key(**p)).count();
-                        let want: Vec<_> = batch.iter().map(|p| probe_direct(&c, p)).collect();
-                        let got = c.lookup_batch(&batch);
-                        for ((g, (w, _)), p) in got.iter().zip(&want).zip(&batch) {
-                            let w = match w {
-                                CacheOutcome::ExactHit(r)
-                                | CacheOutcome::NearHit { response: r, .. } => Some(r),
-                                CacheOutcome::Miss => None,
-                            };
-                            assert_eq!(g.as_ref(), w, "{tier} step {step}: batch {p}");
-                        }
-                        // Exact hits touch first, then near hits, each in
-                        // batch order; the recency tail shows the last touch
-                        // of each entry.
-                        let is_exact = |w: &CacheOutcome| matches!(w, CacheOutcome::ExactHit(_));
-                        let (exact, nearby): (Vec<_>, Vec<_>) =
-                            want.iter().partition(|(w, _)| is_exact(w));
-                        let touched: Vec<usize> =
-                            exact.iter().chain(&nearby).filter_map(|(_, id)| *id).collect();
-                        let mut tail: Vec<usize> = Vec::new();
-                        for &id in touched.iter().rev() {
-                            if !tail.contains(&id) {
-                                tail.push(id);
-                            }
-                        }
-                        assert_eq!(
-                            recent_ids(&c, tail.len()),
-                            tail,
-                            "{tier} step {step}: batch touches"
-                        );
-                    }
-                    _ => {
-                        // Upgrade a live entry in place: a memoized near hit
-                        // on it must serve the new response.
-                        let live = c.live_entries_versioned();
-                        let (p, _, v) = live[rng.random_range(0..live.len())];
-                        let (p, v) = (p.to_string(), v);
-                        assert!(c.insert_versioned(&p, &format!("{p} [v{}]", v + 1), v + 1));
                     }
                 }
-                compactions += usize::from(c.entries.len() < before);
-                memo_peak = memo_peak.max(c.near_memo.len());
-                assert!(c.near_memo.len() <= capacity, "{tier} step {step}: memo over capacity");
+                6..=8 => {
+                    let batch: Vec<String> =
+                        (0..rng.random_range(1..5)).map(|_| pick(&mut rng)).collect();
+                    let batch: Vec<&str> = batch.iter().map(String::as_str).collect();
+                    memo_answers += batch.iter().filter(|p| c.near_memo.contains_key(**p)).count();
+                    let want: Vec<_> = batch.iter().map(|p| probe_direct(&c, p)).collect();
+                    let got = c.lookup_batch(&batch);
+                    for ((g, (w, _)), p) in got.iter().zip(&want).zip(&batch) {
+                        let w = match w {
+                            CacheOutcome::ExactHit(r)
+                            | CacheOutcome::NearHit { response: r, .. } => Some(r),
+                            CacheOutcome::Miss => None,
+                        };
+                        assert_eq!(g.as_ref(), w, "step {step}: batch {p}");
+                    }
+                    // Exact hits touch first, then near hits, each in batch
+                    // order; the recency tail shows the last touch of each
+                    // entry.
+                    let is_exact = |w: &CacheOutcome| matches!(w, CacheOutcome::ExactHit(_));
+                    let (exact, nearby): (Vec<_>, Vec<_>) =
+                        want.iter().partition(|(w, _)| is_exact(w));
+                    let touched: Vec<usize> =
+                        exact.iter().chain(&nearby).filter_map(|(_, id)| *id).collect();
+                    let mut tail: Vec<usize> = Vec::new();
+                    for &id in touched.iter().rev() {
+                        if !tail.contains(&id) {
+                            tail.push(id);
+                        }
+                    }
+                    assert_eq!(recent_ids(&c, tail.len()), tail, "step {step}: batch touches");
+                }
+                _ => {
+                    // Upgrade a live entry in place: a memoized near hit on
+                    // it must serve the new response.
+                    let live = c.live_entries_versioned();
+                    let (p, _, v) = live[rng.random_range(0..live.len())];
+                    let (p, v) = (p.to_string(), v);
+                    assert!(c.insert_versioned(&p, &format!("{p} [v{}]", v + 1), v + 1));
+                }
             }
-            assert_eq!(
-                (c.hits(), c.near_hits(), c.misses(), c.evictions()),
-                (hits, near, misses, installs - c.len() as u64),
-                "{tier}: counters"
-            );
-            assert!(c.store_error().is_none(), "{tier}");
-            assert!(compactions > 0, "{tier}: the fallback compaction never fired");
-            assert_eq!(memo_peak, capacity, "{tier}: the memo never filled");
-            assert!(
-                memo_answers > 400 && near > 400 && misses > 0,
-                "{tier}: memo {memo_answers}, near {near}"
-            );
-            if pq {
-                assert!(c.index.probe_bytes_per_vector() < c.embedder.dim(), "PQ never trained");
-            }
-            std::fs::remove_dir_all(&dir).unwrap();
+            compactions += usize::from(c.entries.len() < before);
+            memo_peak = memo_peak.max(c.near_memo.len());
+            assert!(c.near_memo.len() <= capacity, "step {step}: memo over capacity");
         }
+        let counters = [c.hits(), c.near_hits(), c.misses(), c.evictions()];
+        let counters: Vec<u64> = counters.iter().zip(carried).map(|(n, sum)| n + sum).collect();
+        assert_eq!(counters, [hits, near, misses, installs - c.len() as u64], "counters");
+        assert!(c.store_error().is_none());
+        assert!(compactions > 0, "the fallback compaction never fired");
+        assert_eq!(memo_peak, capacity, "the memo never filled");
+        assert!(memo_answers > 400 && near > 400 && misses > 0, "memo {memo_answers}, near {near}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// An embedder that counts its calls.
@@ -1875,11 +1825,11 @@ mod tests {
         calls.set(0);
         assert_eq!((near(&mut c), near(&mut c)), ("r1".to_string(), "r1".to_string()));
         assert_eq!(calls.get(), 1, "the repeat must be answered by the memo");
-        // An upgrade leaves the graph alone: the memo still answers, with
+        // An upgrade leaves the rows alone: the memo still answers, with
         // the new response.
         c.insert_versioned("please sort this list of numbers for me", "r2", 2);
         assert_eq!((near(&mut c), calls.get()), ("r2".to_string(), 1));
-        // An insert changes the graph: the next probe embeds again.
+        // An insert changes the rows: the next probe embeds again.
         c.insert("write a poem about the autumn moon", "r3");
         calls.set(0);
         assert_eq!((near(&mut c), near(&mut c)), ("r2".to_string(), "r2".to_string()));

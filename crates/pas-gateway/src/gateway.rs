@@ -426,27 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_cache_serves_identical_traffic() {
-        let requests = small_workload();
-        let run = |quantized: bool| {
-            let config = GatewayConfig {
-                cache: SemanticCacheConfig {
-                    tau: 0.25,
-                    capacity: 32,
-                    quantized,
-                    ..SemanticCacheConfig::default()
-                },
-                ..GatewayConfig::default()
-            };
-            gateway_with(config).run(&requests)
-        };
-        let (resp_f32, report_f32) = run(false);
-        let (resp_q, report_q) = run(true);
-        assert_eq!(resp_f32, resp_q, "int8 probe path must not change responses");
-        assert_eq!(report_f32, report_q);
-    }
-
-    #[test]
     fn small_capacity_cache_evicts() {
         let config = GatewayConfig {
             cache: SemanticCacheConfig { capacity: 4, ..SemanticCacheConfig::default() },

@@ -179,12 +179,17 @@ pub struct GatewayReport {
 }
 
 impl GatewayReport {
-    /// Cache hit rate over all arrived requests (exact + near hits).
+    /// Cache hit rate over the counted lookups: (exact + near hits) ÷
+    /// (hits + misses). On a single gateway every arrival makes exactly one
+    /// counted lookup, so this is the hit share of requests; a fleet node
+    /// also counts the lookups it runs for forwarded requests, so a fleet
+    /// report holds more lookups than requests.
     pub fn hit_rate(&self) -> f64 {
-        if self.requests == 0 {
+        let hits = self.exact_hits + self.near_hits;
+        if hits + self.misses == 0 {
             0.0
         } else {
-            (self.exact_hits + self.near_hits) as f64 / self.requests as f64
+            hits as f64 / (hits + self.misses) as f64
         }
     }
 

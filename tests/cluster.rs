@@ -297,6 +297,49 @@ fn per_node_workloads_are_decorrelated_but_reproducible() {
     assert_eq!(per_node, fleet_workloads(&base, 2));
 }
 
+/// A fleet node also looks up the requests forwarded to it, so a fleet
+/// report can count more lookups than requests; its hit rate is hits
+/// over lookups. Here every request arrives at node 0 of a two-node,
+/// replication-1 fleet: node 1's keys are forwarded, and a 1 ms hedge and
+/// rescue make the ingress look each of them up as well.
+#[test]
+fn a_fleet_hit_rate_is_hits_over_lookups() {
+    let config = ClusterConfig {
+        nodes: 2,
+        replication: 1,
+        gateway: quiet_gateway(),
+        net: NetFaultProfile::none(),
+        hedge_ms: 1,
+        rescue_ms: 1,
+        ..ClusterConfig::default()
+    };
+    let arrivals: Vec<Request> = (0..60)
+        .map(|i| Request {
+            id: i,
+            arrival_ms: 40 * i as u64,
+            prompt: format!("prompt {} about a topic", i % 12),
+        })
+        .collect();
+    let mut cluster = Cluster::new(config, |_, _| Suffix);
+    let (_, report) = cluster.run(&[arrivals, Vec::new()]);
+    assert_eq!(report.errors(), 0);
+    assert!(report.forwards > 0 && report.rescues > 0, "{report:?}");
+    let fleet = &report.fleet;
+    let hits = fleet.exact_hits + fleet.near_hits;
+    let lookups = hits + fleet.misses;
+    assert!(hits > 0, "{fleet:?}");
+    assert!(lookups > fleet.requests, "{lookups} lookups for {} requests", fleet.requests);
+    assert_eq!(fleet.hit_rate(), hits as f64 / lookups as f64);
+    // Node 0 looks up its local requests and its rescues, node 1 every
+    // request forwarded to it.
+    let lookups_at = |n: usize| {
+        let r = &report.per_node[n];
+        r.exact_hits + r.near_hits + r.misses
+    };
+    assert_eq!(lookups_at(0), fleet.requests - report.forwards + report.rescues);
+    assert_eq!(lookups_at(1), report.forwards);
+}
+
 /// A one-node, replication-1 fleet on a fault-free network runs the same
 /// serving core as a `Gateway`, so it answers every request alike and
 /// accounts the same report. Only `sim_duration_ms` may differ: a gateway

@@ -107,10 +107,8 @@ fn pipeline_snapshot(threads: usize) -> MetricsSnapshot {
 fn soak_snapshot(threads: usize) -> (MetricsSnapshot, Vec<String>) {
     pas_par::with_threads(threads, || {
         pas::obs::reset();
-        // A universe wide enough that each shard's cache accumulates more
-        // than `PQ_TRAIN_MIN` live entries, so the PQ tier actually trains
-        // and the fixture pins its probe/table counters (not the f32
-        // fallback).
+        // A universe wide enough that each shard's cache holds well over a
+        // hundred live entries, so every near-tier scan covers many rows.
         let requests = generate(&WorkloadConfig {
             requests: 600,
             universe: 320,
@@ -122,15 +120,9 @@ fn soak_snapshot(threads: usize) -> (MetricsSnapshot, Vec<String>) {
             replicas: 2,
             cache: SemanticCacheConfig {
                 // Tight tau so distinct universe prompts miss (and get
-                // inserted) rather than near-hitting each other; the cache
-                // then crosses the PQ training threshold within each shard.
+                // inserted) rather than near-hitting each other, while the
+                // near tier still scans on every exact miss.
                 tau: 0.05,
-                // PQ probe tier on: ADC distances are integer LUT sums and
-                // training is seeded, so the snapshot stays byte-identical
-                // across kernel backends and thread counts. This also pins
-                // the lazy-training path (the cache starts on f32 probes and
-                // flips to PQ once enough entries are live).
-                pq: true,
                 ..SemanticCacheConfig::default()
             },
             ..GatewayConfig::default()
