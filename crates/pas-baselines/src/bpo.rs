@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use pas_core::PromptOptimizer;
-use pas_data::features::{prompt_features, FEATURE_DIM};
+use pas_data::features::{prompt_features, sparse_features, FEATURE_DIM};
 use pas_data::PairDataset;
 use pas_llm::teacher::realize_complement_in;
 use pas_llm::world::{detect_aspects, Aspect, AspectSet};
@@ -99,7 +99,7 @@ impl Bpo {
 
     /// The aspects the rewriter decides to add for `prompt`.
     pub fn predict_aspects(&self, prompt: &str) -> AspectSet {
-        let probs = self.aspect_model.predict_probs(&prompt_features(prompt));
+        let probs = self.aspect_model.predict_probs(&sparse_features(prompt));
         let mut scored: Vec<(usize, f32)> = probs.into_iter().enumerate().collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
         let mut set = AspectSet::EMPTY;

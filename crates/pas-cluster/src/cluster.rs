@@ -47,8 +47,8 @@
 //!   nodes legitimately disagree while the epidemic converges. A
 //!   [`Membership::Crash`] announces nothing; peers time it out.
 //!
-//! Determinism: the loop is serial; parallelism exists only inside a
-//! node's batch dispatch (`pas_par::par_map`, item-ordered). Network
+//! Determinism: the loop is serial, a node's batch dispatch included,
+//! which serves its unique prompts in item order. Network
 //! fates are pure functions of `(net_seed, lane, src, dst, msg)` with
 //! `msg` assigned serially *per lane* — serve traffic never shifts the
 //! fate of a replication or gossip message — and all tie-breaks go

@@ -18,9 +18,9 @@
 //! - [`report`] — per-node `GatewayReport`s folded through the existing
 //!   associative merges into one [`ClusterReport`].
 //!
-//! The whole fleet shares the serial event loop; worker threads only ever
-//! parallelise *inside* a node's batch dispatch, so responses and reports
-//! are bit-identical at any thread count — the same contract every other
+//! The whole fleet shares the serial event loop, and a node serves its
+//! batches on that loop's thread, so responses and reports are
+//! bit-identical at any thread count — the same contract every other
 //! subsystem in this workspace honours, now across simulated machines.
 
 pub mod cluster;

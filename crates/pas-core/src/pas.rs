@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use pas_data::features::{prompt_features, FEATURE_DIM};
+use pas_data::features::{prompt_features, sparse_features, FEATURE_DIM};
 use pas_data::PairDataset;
 use pas_fault::Journal;
 use pas_llm::teacher::realize_complement_in;
@@ -198,7 +198,7 @@ impl Pas {
     /// model realization noise): thresholded probabilities, top-k capped,
     /// falling back to the single most likely aspect.
     pub fn predict_aspects(&self, prompt: &str) -> AspectSet {
-        let probs = self.aspect_model.predict_probs(&prompt_features(prompt));
+        let probs = self.aspect_model.predict_probs(&sparse_features(prompt));
         let mut scored: Vec<(usize, f32)> = probs.into_iter().enumerate().collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
         let mut set = AspectSet::EMPTY;

@@ -1,14 +1,20 @@
 //! Hashed text featurization for the trainable classifiers.
 //!
-//! The category classifier and the PAS aspect model both consume a fixed
-//! dense vector per prompt: hashed unigram/bigram counts (L2-normalized)
+//! The category classifier and the PAS aspect model both consume one
+//! feature vector per prompt: hashed unigram/bigram counts (L2-normalized)
 //! concatenated with the ten aspect-detection indicator features. The
 //! indicators matter: whether a prompt already *states* an aspect is
 //! precisely the signal the PAS aspect model must not have to relearn from
 //! scratch through word hashes.
+//!
+//! [`sparse_features`] computes a prompt's features once, as its nonzero
+//! entries: a prompt of a dozen words sets about 25 of the
+//! [`FEATURE_DIM`] slots, and aspect inference sums only those weight rows
+//! (`MultiLabelClassifier::predict_probs`). [`prompt_features`] is that
+//! list densified, for training.
 
+use pas_text::for_each_word;
 use pas_text::hash::{fx_combine, fx_hash_str};
-use pas_text::words;
 
 use pas_llm::world::{detect_aspects, Aspect};
 
@@ -20,40 +26,55 @@ pub const FEATURE_DIM: usize = HASHED_DIM + Aspect::ALL.len();
 const NS_UNIGRAM: u64 = 0x756e_6931;
 const NS_BIGRAM: u64 = 0x6269_6732;
 
-/// Hashed unigram+bigram counts of `text`, L2-normalized, length `dim`.
-pub fn hashed_features(text: &str, dim: usize) -> Vec<f32> {
-    assert!(dim > 0, "feature dimension must be positive");
-    let ws = words(text);
-    let mut v = vec![0.0f32; dim];
-    for w in &ws {
-        let h = fx_combine(NS_UNIGRAM, fx_hash_str(w));
-        v[(h % dim as u64) as usize] += 1.0;
-    }
-    for pair in ws.windows(2) {
-        let h = fx_combine(NS_BIGRAM, fx_combine(fx_hash_str(&pair[0]), fx_hash_str(&pair[1])));
-        v[(h % dim as u64) as usize] += 1.0;
-    }
-    let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if norm > 0.0 {
-        for x in &mut v {
-            *x /= norm;
+/// The nonzero entries `(index, value)` of `text`'s feature vector, in
+/// strictly ascending index order: first the hashed block, where each of
+/// the words' unigram and bigram slots holds its count divided by the
+/// block's L2 norm, then a `1.0` at `HASHED_DIM + i` for each aspect
+/// `Aspect::ALL[i]` the text mentions.
+///
+/// The norm sums the squared counts in ascending slot order, as a sum over
+/// the whole dense block does (its zero slots add +0 to a positive sum),
+/// so every value is bit-identical to the dense featurization's.
+pub fn sparse_features(text: &str) -> Vec<(usize, f32)> {
+    let slot = |h: u64| (h % HASHED_DIM as u64) as usize;
+    let mut slots = Vec::new();
+    let mut prev: Option<u64> = None;
+    for_each_word(text, |w| {
+        let h = fx_hash_str(w);
+        slots.push(slot(fx_combine(NS_UNIGRAM, h)));
+        if let Some(p) = prev {
+            slots.push(slot(fx_combine(NS_BIGRAM, fx_combine(p, h))));
+        }
+        prev = Some(h);
+    });
+    slots.sort_unstable();
+    let mut entries: Vec<(usize, f32)> = Vec::with_capacity(slots.len() + Aspect::ALL.len());
+    for s in slots {
+        match entries.last_mut() {
+            Some((last, count)) if *last == s => *count += 1.0,
+            _ => entries.push((s, 1.0)),
         }
     }
-    v
-}
-
-/// One 0/1 indicator per aspect mentioned in `text`, index-aligned with
-/// [`Aspect::ALL`].
-pub fn aspect_features(text: &str) -> Vec<f32> {
+    let norm = entries.iter().map(|&(_, c)| c * c).sum::<f32>().sqrt();
+    for (_, x) in &mut entries {
+        *x /= norm;
+    }
     let detected = detect_aspects(text);
-    Aspect::ALL.iter().map(|&a| if detected.contains(a) { 1.0 } else { 0.0 }).collect()
+    for (i, &a) in Aspect::ALL.iter().enumerate() {
+        if detected.contains(a) {
+            entries.push((HASHED_DIM + i, 1.0));
+        }
+    }
+    entries
 }
 
-/// The full feature vector used by the workspace classifiers
-/// (length [`FEATURE_DIM`]).
+/// [`sparse_features`] as a dense vector of length [`FEATURE_DIM`], the
+/// rows the classifiers train on.
 pub fn prompt_features(text: &str) -> Vec<f32> {
-    let mut v = hashed_features(text, HASHED_DIM);
-    v.extend(aspect_features(text));
+    let mut v = vec![0.0f32; FEATURE_DIM];
+    for (i, x) in sparse_features(text) {
+        v[i] = x;
+    }
     v
 }
 
@@ -64,8 +85,7 @@ mod tests {
     #[test]
     fn dimensions_are_consistent() {
         assert_eq!(prompt_features("hello world").len(), FEATURE_DIM);
-        assert_eq!(hashed_features("x", 64).len(), 64);
-        assert_eq!(aspect_features("x").len(), Aspect::ALL.len());
+        assert!(sparse_features("hello world").iter().all(|&(i, _)| i < FEATURE_DIM));
     }
 
     #[test]
@@ -75,21 +95,30 @@ mod tests {
 
     #[test]
     fn hashed_block_is_unit_norm() {
-        let v = hashed_features("some plain text with several words", HASHED_DIM);
-        let n: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        let v = prompt_features("some plain text with several words");
+        let n: f32 = v[..HASHED_DIM].iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((n - 1.0).abs() < 1e-5);
     }
 
     #[test]
     fn empty_text_is_zero_vector() {
+        assert!(sparse_features("").is_empty());
         assert!(prompt_features("").iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn aspect_indicator_fires() {
-        let v = aspect_features("please reason step by step");
-        assert_eq!(v[Aspect::StepByStep.index()], 1.0);
-        assert_eq!(v.iter().sum::<f32>(), 1.0);
+        let v = prompt_features("please reason step by step");
+        let indicators = &v[HASHED_DIM..];
+        assert_eq!(indicators[Aspect::StepByStep.index()], 1.0);
+        assert_eq!(indicators.iter().sum::<f32>(), 1.0);
+    }
+
+    #[test]
+    fn entries_are_nonzero_and_strictly_ascending() {
+        let e = sparse_features("Please reason step by step: sort the list, then sort it again.");
+        assert!(e.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(e.iter().all(|&(_, x)| x != 0.0));
     }
 
     #[test]
@@ -102,8 +131,8 @@ mod tests {
 
     #[test]
     fn bigrams_distinguish_word_order() {
-        let a = hashed_features("dog bites man", HASHED_DIM);
-        let b = hashed_features("man bites dog", HASHED_DIM);
+        let a = prompt_features("dog bites man");
+        let b = prompt_features("man bites dog");
         assert_ne!(a, b, "bigram features must be order-sensitive");
     }
 }

@@ -28,7 +28,7 @@ pub mod select;
 pub mod stats;
 
 pub use corpus::{Corpus, CorpusConfig};
-pub use features::{aspect_features, hashed_features, prompt_features, FEATURE_DIM};
+pub use features::{prompt_features, sparse_features, FEATURE_DIM};
 pub use genpipe::{GenConfig, GenError, GenReport, Generator};
 pub use golden::golden_for;
 pub use schema::{PairDataset, PairRecord, PromptRecord, Source};

@@ -7,9 +7,10 @@
 //! clock, no OS timer, no thread ever touches the loop state — so a
 //! seeded load test produces bit-identical responses, ordering, and
 //! [`GatewayReport`] on every machine and at every `pas_par` thread
-//! count. Parallelism lives in exactly one place: a dispatched batch's
-//! unique prompts are served through [`pas_par::par_map`], whose results
-//! come back in item order regardless of interleaving.
+//! count. The loop runs on one thread, batches included: a dispatched
+//! batch's unique prompts are served one by one in item order, since a
+//! batch of a few `M_p` calls costs less than handing it to worker
+//! threads.
 //!
 //! Request path: arrival → semantic cache lookup (exact, then τ-gated
 //! near tier) → on miss, admission control into a bounded queue → micro-

@@ -117,9 +117,10 @@ impl<O: PromptOptimizer> ReplicaPool<O> {
     }
 
     /// Serves one prompt, starting at `start` and failing over through the
-    /// pool in id order (wrapping) until a replica answers. Thread-safe:
-    /// touches only the replicas' internally synchronized fault stacks, so
-    /// batch dispatch may call it from `pas_par::par_map`.
+    /// pool in id order (wrapping) until a replica answers. Batch dispatch
+    /// calls it once per unique prompt, in item order, on the serving
+    /// loop's thread; it takes `&self`, since the replicas' fault stacks
+    /// synchronize internally.
     pub fn try_serve(&self, start: usize, prompt: &str) -> ServeOutcome {
         for hop in 0..self.replicas.len() {
             let replica = (start + hop) % self.replicas.len();

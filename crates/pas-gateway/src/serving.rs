@@ -22,9 +22,8 @@ use crate::pool::{ReplicaPool, ServeOutcome};
 use crate::report::{GatewayReport, ReplicaReport};
 use crate::sim::EventHeap;
 
-// Every recording below happens on the serial loop thread: the only
-// parallel region is `ReplicaPool::try_serve` inside `dispatch`, which
-// records nothing, so gauges are safe and the metrics are as
+// Every recording below happens on the serial loop thread, which also
+// serves each batch, so gauges are safe and the metrics are as
 // deterministic as the loop itself.
 static OBS_BATCH_SIZE: pas_obs::Histogram = pas_obs::Histogram::new("gateway.batch.size");
 static OBS_LATENCY: pas_obs::Histogram = pas_obs::Histogram::new("gateway.latency_ms");
@@ -223,8 +222,8 @@ impl<O: PromptOptimizer> ServingCore<O> {
     /// prompt gets a second-chance probe through
     /// [`lookup_batch`](crate::SemanticCache::lookup_batch): an earlier
     /// batch may have installed it while these requests queued. The
-    /// prompts that miss again are served through the pool in parallel,
-    /// the loop's only parallel region. Pushes the hits as
+    /// prompts that miss again are served through the pool one by one, in
+    /// item order, on the loop's own thread. Pushes the hits as
     /// `hits(members)`, due `cache_hit_cost_ms` from `now`, then the rest
     /// as `batch(batch)`, due at the batch cost; that push order decides a
     /// `(time, seq)` tie between the two.
@@ -285,10 +284,11 @@ impl<O: PromptOptimizer> ServingCore<O> {
 
         let replica = self.pool.route();
         self.pool.begin(replica, live.len() as u64);
-        // Item-ordered results and content-derived fault coordinates keep
-        // the outcomes thread-count invariant.
-        let pool = &self.pool;
-        let outcomes = pas_par::par_map(&live, |_, p| pool.try_serve(replica, p));
+        // A batch averages a few prompts of a few microseconds each, and
+        // handing it to worker threads was slower than serving it here
+        // (DESIGN.md §9).
+        let outcomes: Vec<ServeOutcome> =
+            live.iter().map(|p| self.pool.try_serve(replica, p)).collect();
         self.report.batches += 1;
         self.report.batched_prompts += live.len() as u64;
         OBS_BATCH_SIZE.record(live.len() as u64);

@@ -6,9 +6,8 @@
 //! the schedule itself — never of wall-clock time, thread interleaving, or
 //! heap internals. Popping advances a monotone simulated clock. Both the
 //! single-node gateway loop and the multi-node cluster loop drain one of
-//! these serially; parallelism lives only *inside* individual events
-//! (batch dispatch through `pas_par::par_map`), which is the workspace's
-//! whole determinism story.
+//! these serially, and handle each event, a batch dispatch included, on
+//! the same thread, which is the serving path's whole determinism story.
 //!
 //! A workload's arrivals are known before the loop starts, so they never
 //! enter the heap: [`EventHeap::with_arrivals`] keeps them as a schedule

@@ -1,4 +1,5 @@
-//! Trainable text classifiers over dense (hashed) feature vectors.
+//! Trainable text classifiers over hashed feature vectors: trained on dense
+//! rows, and the multi-label model infers from a sparse one.
 //!
 //! Two models back the PAS pipeline:
 //!
@@ -271,14 +272,27 @@ impl MultiLabelClassifier {
         epoch_loss
     }
 
-    /// Per-label probabilities for one feature vector.
-    pub fn predict_probs(&self, features: &[f32]) -> Vec<f32> {
-        let x = Matrix::from_vec(1, features.len(), features.to_vec());
-        self.layer.forward(&x).row(0).iter().map(|&l| sigmoid(l)).collect()
+    /// Per-label probabilities for one input given as its nonzero entries
+    /// `(index, value)`, in ascending index order (`pas_data`'s
+    /// `sparse_features`).
+    ///
+    /// The logits start at +0 and add each entry's weight row scaled by
+    /// its value, in that order, then the bias. That is the dense forward
+    /// `x·W + b` with only the zero inputs' terms skipped, and whenever
+    /// every weight is finite it equals the dense forward bit for bit: a
+    /// skipped term is ±0, and adding ±0 leaves a sum that starts at +0
+    /// unchanged, since such a sum is never −0.
+    pub fn predict_probs(&self, features: &[(usize, f32)]) -> Vec<f32> {
+        let mut logits = vec![0.0f32; self.labels];
+        for &(i, x) in features {
+            pas_kernels::axpy(x, self.layer.weight.row(i), &mut logits);
+        }
+        pas_kernels::add(&mut logits, &self.layer.bias);
+        logits.into_iter().map(sigmoid).collect()
     }
 
     /// Labels whose probability exceeds `threshold`.
-    pub fn predict_labels(&self, features: &[f32], threshold: f32) -> Vec<usize> {
+    pub fn predict_labels(&self, features: &[(usize, f32)], threshold: f32) -> Vec<usize> {
         self.predict_probs(features)
             .into_iter()
             .enumerate()
@@ -286,8 +300,14 @@ impl MultiLabelClassifier {
             .collect()
     }
 
-    /// Micro-averaged F1 over a labeled set at `threshold`.
-    pub fn micro_f1(&self, features: &[Vec<f32>], targets: &[Vec<f32>], threshold: f32) -> f64 {
+    /// Micro-averaged F1 over a labeled set of sparse inputs at
+    /// `threshold`.
+    pub fn micro_f1(
+        &self,
+        features: &[Vec<(usize, f32)>],
+        targets: &[Vec<f32>],
+        threshold: f32,
+    ) -> f64 {
         let (mut tp, mut fp, mut fn_) = (0u64, 0u64, 0u64);
         for (f, t) in features.iter().zip(targets) {
             let probs = self.predict_probs(f);
@@ -365,7 +385,8 @@ mod tests {
         }
         let mut clf = MultiLabelClassifier::new(4, 4, 3);
         clf.train(&xs, &ts, &TrainParams { epochs: 30, ..TrainParams::default() });
-        let f1 = clf.micro_f1(&xs, &ts, 0.5);
+        let sparse: Vec<_> = xs.iter().map(|x| nonzeros(x)).collect();
+        let f1 = clf.micro_f1(&sparse, &ts, 0.5);
         assert!(f1 > 0.95, "micro-F1 {f1}");
     }
 
@@ -453,10 +474,65 @@ mod tests {
     #[test]
     fn predict_labels_thresholds() {
         let clf = MultiLabelClassifier::new(2, 3, 0);
-        let labels = clf.predict_labels(&[0.0, 0.0], 2.0); // impossible threshold
+        let labels = clf.predict_labels(&[], 2.0); // impossible threshold
         assert!(labels.is_empty());
-        let all = clf.predict_labels(&[0.0, 0.0], 0.0);
+        let all = clf.predict_labels(&[], 0.0);
         assert_eq!(all, vec![0, 1, 2]);
+    }
+
+    /// The nonzero entries of a dense input, in index order.
+    fn nonzeros(x: &[f32]) -> Vec<(usize, f32)> {
+        x.iter().enumerate().filter(|&(_, &v)| v != 0.0).map(|(i, &v)| (i, v)).collect()
+    }
+
+    /// The dense single-row forward the sparse path replaces: the blocked
+    /// `gemm` over every input, the bias, then the sigmoid.
+    fn dense_probs(clf: &MultiLabelClassifier, x: &[f32]) -> Vec<f32> {
+        let row = Matrix::from_vec(1, x.len(), x.to_vec());
+        clf.layer.forward(&row).row(0).iter().map(|&l| sigmoid(l)).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // Sparse inference against the dense forward, bit for bit, on
+        // random classifiers (random weights, bias and width) and random
+        // inputs, some of whose entries are ±0 so the skipped terms carry
+        // both signs.
+        #[test]
+        fn sparse_inference_matches_the_dense_forward(
+            seed in 0u64..u64::MAX,
+            dim in 1usize..600,
+            labels in 1usize..17,
+            scale in -8.0f32..8.0,
+            bias in proptest::collection::vec(-4.0f32..4.0, 16),
+            slots in proptest::collection::vec(0usize..600, 0..40),
+            values in proptest::collection::vec(-3.0f32..3.0, 40),
+            kinds in proptest::collection::vec(0u8..4, 40),
+        ) {
+            let mut clf = MultiLabelClassifier::new(dim, labels, seed);
+            for w in clf.layer.weight.data_mut() {
+                *w *= scale;
+            }
+            clf.layer.bias.copy_from_slice(&bias[..labels]);
+            let mut x = vec![0.0f32; dim];
+            for ((&i, &v), &kind) in slots.iter().zip(&values).zip(&kinds) {
+                x[i % dim] = match kind {
+                    0 => -0.0,
+                    1 => 1.0,
+                    _ => v,
+                };
+            }
+            let want = bits(&dense_probs(&clf, &x));
+            proptest::prop_assert_eq!(bits(&clf.predict_probs(&nonzeros(&x))), want.clone());
+            // Explicit ±0 entries are skipped terms too.
+            let with_zeros: Vec<(usize, f32)> = x.iter().copied().enumerate().collect();
+            proptest::prop_assert_eq!(bits(&clf.predict_probs(&with_zeros)), want);
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! complementary prompt is on-topic. Both reduce to keyword overlap between
 //! two texts after stopword removal.
 
-use crate::hash::FxHashMap;
-use crate::words;
+use std::sync::OnceLock;
+
+use crate::for_each_word;
+use crate::hash::{FxHashMap, FxHashSet};
 
 /// English stopwords used across the workspace. Kept small on purpose: the
 /// synthetic corpus is template-generated, so a compact list suffices and
@@ -23,23 +25,41 @@ pub const STOPWORDS: &[&str] = &[
     "am",
 ];
 
+/// Whether `word` (lowercase) is in [`STOPWORDS`]: one hash probe, not a
+/// scan of the list.
 fn is_stopword(word: &str) -> bool {
-    STOPWORDS.contains(&word)
+    static SET: OnceLock<FxHashSet<&'static str>> = OnceLock::new();
+    SET.get_or_init(|| STOPWORDS.iter().copied().collect()).contains(word)
 }
 
 /// Returns the non-stopword tokens of `text`, lowercased, in order, with
 /// duplicates preserved.
 pub fn content_words(text: &str) -> Vec<String> {
-    words(text).into_iter().filter(|w| !is_stopword(w)).collect()
+    let mut out = Vec::new();
+    for_each_word(text, |w| {
+        if !is_stopword(w) {
+            out.push(w.to_owned());
+        }
+    });
+    out
 }
 
 /// Returns the `k` most frequent content words of `text`, most frequent
-/// first; ties broken alphabetically for determinism.
+/// first; ties broken alphabetically for determinism. Each distinct word
+/// is allocated once, when it is first counted.
 pub fn top_keywords(text: &str, k: usize) -> Vec<String> {
     let mut counts: FxHashMap<String, u32> = FxHashMap::default();
-    for w in content_words(text) {
-        *counts.entry(w).or_insert(0) += 1;
-    }
+    for_each_word(text, |w| {
+        if is_stopword(w) {
+            return;
+        }
+        match counts.get_mut(w) {
+            Some(n) => *n += 1,
+            None => {
+                counts.insert(w.to_owned(), 1);
+            }
+        }
+    });
     let mut items: Vec<(String, u32)> = counts.into_iter().collect();
     items.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     items.into_iter().take(k).map(|(w, _)| w).collect()

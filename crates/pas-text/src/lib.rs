@@ -35,14 +35,17 @@ pub fn words(text: &str) -> Vec<String> {
 
 /// Calls `f` with each token [`words`] returns, in order, lowercased into
 /// one reused buffer, so a caller that only hashes the tokens allocates
-/// none of them.
+/// none of them. An ASCII character is classified and lowercased by the
+/// ASCII rules, which agree with `char::is_alphanumeric` and
+/// `char::to_lowercase` there; only other characters take the Unicode
+/// path.
 pub fn for_each_word(text: &str, mut f: impl FnMut(&str)) {
     let mut cur = String::new();
     for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            for lc in ch.to_lowercase() {
-                cur.push(lc);
-            }
+        if ch.is_ascii_alphanumeric() {
+            cur.push(ch.to_ascii_lowercase());
+        } else if !ch.is_ascii() && ch.is_alphanumeric() {
+            cur.extend(ch.to_lowercase());
         } else if !cur.is_empty() {
             f(&cur);
             cur.clear();

@@ -33,9 +33,27 @@ pub fn strip_punctuation(text: &str) -> String {
 }
 
 /// Full canonical form used as the dedup key: lowercase, punctuation-free,
-/// whitespace-collapsed.
+/// whitespace-collapsed. Equals
+/// `collapse_whitespace(&strip_punctuation(&text.to_lowercase()))` in one
+/// pass after `str::to_lowercase` (which keeps its final-sigma rule): every
+/// character that is not alphanumeric is a word boundary, and each run of
+/// them becomes one space, none at the ends.
 pub fn normalize_for_dedup(text: &str) -> String {
-    collapse_whitespace(&strip_punctuation(&text.to_lowercase()))
+    let lower = text.to_lowercase();
+    let mut out = String::with_capacity(lower.len());
+    let mut boundary = false;
+    for ch in lower.chars() {
+        if ch.is_alphanumeric() {
+            if boundary && !out.is_empty() {
+                out.push(' ');
+            }
+            out.push(ch);
+            boundary = false;
+        } else {
+            boundary = true;
+        }
+    }
+    out
 }
 
 /// Truncates a string to at most `max_chars` characters on a char boundary,

@@ -5,10 +5,54 @@ use proptest::prelude::*;
 use pas_text::normalize::normalize_for_dedup;
 use pas_text::{
     collapse_whitespace, dice_coefficient, fx_hash_str, jaccard_words, levenshtein,
-    normalized_levenshtein, words,
+    normalized_levenshtein, strip_punctuation, words,
 };
 
+/// Printable ASCII plus chars whose lowercase, case class or width is
+/// unusual: `İ` lowercases to two chars, `Σ` to a final or medial sigma,
+/// `ǅ` is titlecase, `Ⅻ` and `٣` are non-Latin alphanumerics, U+0301 is a
+/// combining mark, U+00A0 is whitespace, and the rest are 2- to 4-byte
+/// UTF-8.
+const ODD_TEXT: &str = "[ -~\t\nİΣσςǅⅫ٣\u{301}\u{a0}ßé雪🙂]{0,160}";
+
+/// Alphanumeric runs, each character lowercased by `char::to_lowercase`.
+fn per_char_words(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut cur = String::new();
+    for ch in text.chars() {
+        if ch.is_alphanumeric() {
+            cur.extend(ch.to_lowercase());
+        } else if !cur.is_empty() {
+            out.push(std::mem::take(&mut cur));
+        }
+    }
+    if !cur.is_empty() {
+        out.push(cur);
+    }
+    out
+}
+
 proptest! {
+    // The one-pass canonical form against the three passes it replaced.
+    #[test]
+    fn normalize_is_the_three_pass_composition(s in ODD_TEXT, t in ".{0,200}") {
+        for text in [&s, &t] {
+            prop_assert_eq!(
+                normalize_for_dedup(text),
+                collapse_whitespace(&strip_punctuation(&text.to_lowercase()))
+            );
+        }
+    }
+
+    // ASCII lowercasing takes a shortcut; every token still equals the
+    // per-character Unicode lowercase.
+    #[test]
+    fn words_lowercase_each_char_as_unicode_does(s in ODD_TEXT, t in ".{0,200}") {
+        for text in [&s, &t] {
+            prop_assert_eq!(words(text), per_char_words(text));
+        }
+    }
+
     #[test]
     fn normalize_is_idempotent(s in ".{0,200}") {
         let once = normalize_for_dedup(&s);
