@@ -177,14 +177,6 @@ fn bench_cluster(c: &mut Criterion, pas: &Pas) {
     g.finish();
 }
 
-fn median_ns(c: &Criterion, name: &str) -> f64 {
-    c.results()
-        .iter()
-        .find(|r| r.name == name)
-        .unwrap_or_else(|| panic!("no bench result named {name}"))
-        .median_ns
-}
-
 fn write_summary(c: &Criterion, pas: &Pas) {
     // Replay each size once for its (deterministic) report.
     let mut sizes_json = Vec::new();
@@ -203,7 +195,7 @@ fn write_summary(c: &Criterion, pas: &Pas) {
             ),
             nodes,
             report.fleet.requests,
-            median_ns(c, &format!("cluster/nodes_{nodes}")),
+            c.median_ns(&format!("cluster/nodes_{nodes}")),
             report.fleet.sim_duration_ms,
             rps,
             report.forwards,
@@ -260,7 +252,7 @@ fn write_summary(c: &Criterion, pas: &Pas) {
         UNIVERSE,
         sizes_json.join(",\n"),
         scaling,
-        median_ns(c, "cluster/partition_heal_8"),
+        c.median_ns("cluster/partition_heal_8"),
         chaos.errors(),
         chaos.net_cut,
         chaos.net_drops,
@@ -269,7 +261,7 @@ fn write_summary(c: &Criterion, pas: &Pas) {
         chaos.rescues,
         chaos.local_fallbacks,
         chaos.rebalance_moved,
-        median_ns(c, "cluster/replication_8"),
+        c.median_ns("cluster/replication_8"),
         repl.errors(),
         repl.repl_sent,
         repl.repl_applied,

@@ -72,17 +72,9 @@ fn bench_gateway(c: &mut Criterion, pas: &Pas, requests: &[Request]) {
     g.finish();
 }
 
-fn median_ns(c: &Criterion, name: &str) -> f64 {
-    c.results()
-        .iter()
-        .find(|r| r.name == name)
-        .unwrap_or_else(|| panic!("no bench result named {name}"))
-        .median_ns
-}
-
 fn write_summary(c: &Criterion, pas: &Pas, requests: &[Request]) {
-    let uncached_ns = median_ns(c, "gateway/no_cache");
-    let cached_ns = median_ns(c, "gateway/semantic_cache");
+    let uncached_ns = c.median_ns("gateway/no_cache");
+    let cached_ns = c.median_ns("gateway/semantic_cache");
     // Replay each configuration once for its (deterministic) report.
     let uncached = serve(pas, requests, no_cache());
     let cached = serve(pas, requests, semantic_cache());

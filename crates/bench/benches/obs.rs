@@ -63,17 +63,9 @@ fn bench_obs(c: &mut Criterion, pas: &Pas, requests: &[Request]) {
     g.finish();
 }
 
-fn median_ns(c: &Criterion, name: &str) -> f64 {
-    c.results()
-        .iter()
-        .find(|r| r.name == name)
-        .unwrap_or_else(|| panic!("no bench result named {name}"))
-        .median_ns
-}
-
 fn write_summary(c: &Criterion, pas: &Pas, requests: &[Request]) {
-    let off_ns = median_ns(c, "obs/gateway_soak/metrics_off");
-    let on_ns = median_ns(c, "obs/gateway_soak/metrics_on");
+    let off_ns = c.median_ns("obs/gateway_soak/metrics_off");
+    let on_ns = c.median_ns("obs/gateway_soak/metrics_on");
     let overhead = on_ns / off_ns - 1.0;
     // Replay once with metrics on for the (deterministic) snapshot totals.
     pas_obs::set_enabled(true);

@@ -103,19 +103,11 @@ const WORKLOADS: [Workload; 3] = [
     Workload { name: "suite_evaluation", group: "parallel_suite_eval", elements: EVAL_ELEMENTS },
 ];
 
-fn median_ns(c: &Criterion, name: &str) -> f64 {
-    c.results()
-        .iter()
-        .find(|r| r.name == name)
-        .unwrap_or_else(|| panic!("no bench result named {name}"))
-        .median_ns
-}
-
 fn write_summary(c: &Criterion) {
     let mut lines = Vec::new();
     for w in &WORKLOADS {
-        let serial_ns = median_ns(c, &format!("{}/serial", w.group));
-        let parallel_ns = median_ns(c, &format!("{}/parallel", w.group));
+        let serial_ns = c.median_ns(&format!("{}/serial", w.group));
+        let parallel_ns = c.median_ns(&format!("{}/parallel", w.group));
         let per_sec = |ns: f64| w.elements as f64 / (ns / 1e9);
         lines.push(format!(
             concat!(

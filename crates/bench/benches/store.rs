@@ -4,10 +4,10 @@
 //! through the full gateway once, checkpoints it, then benches the three
 //! ways the next process can get that cache back:
 //!
-//! - `open/warm` — restore the checkpoint snapshot (entries + HNSW graph
-//!   dump) and replay only the log suffix (empty here);
+//! - `open/warm` — restore the checkpoint snapshot (entries + live index
+//!   rows) and replay only the log suffix (empty here);
 //! - `open/cold_replay` — ignore the snapshot, replay every log record
-//!   re-inserting the *logged* embeddings (graph rebuilt, no embedding);
+//!   re-inserting the *logged* embeddings (no embedding);
 //! - `open/reembed` — replay while re-embedding every prompt: the
 //!   pre-`pas-store` restart cost, i.e. what a gateway had to pay before
 //!   persistence existed.
@@ -45,7 +45,7 @@ fn build_pas() -> Pas {
 
 fn cache_config() -> SemanticCacheConfig {
     // τ well below the soak default: the near tier still exists (so the
-    // checkpoint carries a real HNSW graph) but rarely absorbs a miss, so
+    // checkpoint carries real index rows) but rarely absorbs a miss, so
     // the soak actually fills the cache and a restart has real state to
     // recover.
     SemanticCacheConfig { capacity: 8192, tau: 0.02, ..SemanticCacheConfig::default() }
@@ -96,18 +96,10 @@ fn bench_opens(c: &mut Criterion, dir: &Path) {
     g.finish();
 }
 
-fn median_ns(c: &Criterion, name: &str) -> f64 {
-    c.results()
-        .iter()
-        .find(|r| r.name == name)
-        .unwrap_or_else(|| panic!("no bench result named {name}"))
-        .median_ns
-}
-
 fn write_summary(c: &Criterion, dir: &Path, entries: usize) {
-    let warm_ns = median_ns(c, "store/open/warm");
-    let cold_ns = median_ns(c, "store/open/cold_replay");
-    let reembed_ns = median_ns(c, "store/open/reembed");
+    let warm_ns = c.median_ns("store/open/warm");
+    let cold_ns = c.median_ns("store/open/cold_replay");
+    let reembed_ns = c.median_ns("store/open/reembed");
     let vs_cold = cold_ns / warm_ns;
     let vs_reembed = reembed_ns / warm_ns;
     // One recorded replay for the (deterministic) recovery counters.

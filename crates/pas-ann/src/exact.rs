@@ -18,29 +18,11 @@
 //! `(distance, id)` as it goes rather than sorting every row; the result is
 //! exactly what sorting them all would return, so ties go to the smaller
 //! id wherever the rows sit.
-//!
-//! With [`ExactIndex::set_quantization`] the index additionally keeps int8
-//! codes ([`crate::quant::QuantStore`]) and probes through the integer path:
-//! approximate-scan everything, keep [`crate::quant::rerank_overfetch`]`(k)`
-//! candidates, exactly re-rank those in f32. Results stay deterministic at
-//! every thread count and kernel backend.
-//!
-//! [`ExactIndex::set_product_quantization`] swaps the int8 tier for PQ codes
-//! ([`crate::quant::PqStore`], `dim/8` bytes per vector): each scan builds
-//! one fixed-point ADC table and ranks every row with pure integer adds,
-//! over-fetching [`crate::quant::pq_rerank_overfetch`]`(k)` before the same
-//! exact f32 re-rank. The codebook trains lazily once
-//! [`crate::quant::PQ_TRAIN_MIN`] rows exist; until then scans stay f32.
-//! Neither code tier supports [`ExactIndex::remove`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::metric::Metric;
-use crate::quant::{
-    pq_rerank_overfetch, rerank_overfetch, PqConfig, PqStore, QuantStore, OBS_PQ, OBS_QUANTIZED,
-    OBS_RERANK, PQ_TRAIN_MIN,
-};
 use crate::Neighbor;
 
 // Observability counters: a brute-force scan probes every stored vector,
@@ -65,10 +47,6 @@ pub struct ExactIndex<M: Metric> {
     ids: Vec<usize>,
     /// The row of every id handed out, or [`REMOVED`].
     rows: Vec<usize>,
-    /// int8 codes + scales when quantized probing is on.
-    quant: Option<QuantStore>,
-    /// PQ codes when product-quantized probing is on (possibly untrained).
-    pq: Option<PqStore>,
 }
 
 impl<M: Metric> ExactIndex<M> {
@@ -81,8 +59,6 @@ impl<M: Metric> ExactIndex<M> {
             norms: Vec::new(),
             ids: Vec::new(),
             rows: Vec::new(),
-            quant: None,
-            pq: None,
         }
     }
 
@@ -120,17 +96,6 @@ impl<M: Metric> ExactIndex<M> {
         let id = self.rows.len();
         let norm = self.metric.prepare(&mut vector);
         self.push_row(id, norm, &vector);
-        if let Some(quant) = &mut self.quant {
-            quant.push(&self.metric, &vector);
-        }
-        let (dim, len) = (self.dim, self.len());
-        if let Some(pq) = &mut self.pq {
-            if pq.ready() {
-                pq.push(&vector);
-            } else if len >= PQ_TRAIN_MIN {
-                Self::train_pq(pq, &self.data, dim, len);
-            }
-        }
         id
     }
 
@@ -152,15 +117,7 @@ impl<M: Metric> ExactIndex<M> {
     /// Removes `id`, returning whether it was live. The last row moves into
     /// its place, so every other id keeps naming its own vector and no scan
     /// visits the removed one.
-    ///
-    /// # Panics
-    /// Panics on an index with an int8 or PQ tier, whose code rows would
-    /// have to move too.
     pub fn remove(&mut self, id: usize) -> bool {
-        assert!(
-            self.quant.is_none() && self.pq.is_none(),
-            "ExactIndex::remove: an index with an int8 or PQ tier cannot remove rows"
-        );
         let Some(&row) = self.rows.get(id).filter(|&&row| row != REMOVED) else {
             return false;
         };
@@ -174,86 +131,6 @@ impl<M: Metric> ExactIndex<M> {
         }
         self.rows[id] = REMOVED;
         true
-    }
-
-    /// Trains `pq` over all currently stored rows and encodes them.
-    fn train_pq(pq: &mut PqStore, data: &[f32], dim: usize, len: usize) {
-        let rows: Vec<&[f32]> = (0..len).map(|row| &data[row * dim..(row + 1) * dim]).collect();
-        pq.train_encode(&rows, dim);
-    }
-
-    /// Turns int8 quantized probing on or off. Enabling quantizes every
-    /// stored vector (and all future inserts) and drops any PQ tier;
-    /// disabling drops the codes. Searches stay exact either way — the
-    /// quantized path re-ranks an over-fetched candidate set with f32
-    /// distances.
-    ///
-    /// # Panics
-    /// Panics when the metric does not support quantization
-    /// ([`Metric::quantize`] returns `None`).
-    pub fn set_quantization(&mut self, enabled: bool) {
-        if !enabled {
-            self.quant = None;
-            return;
-        }
-        self.pq = None;
-        if self.quant.is_some() {
-            return;
-        }
-        assert!(self.metric.quantize(&[]).is_some(), "metric has no quantized probe path");
-        let mut store = QuantStore::new();
-        for row in 0..self.len() {
-            store.push(&self.metric, self.row(row));
-        }
-        self.quant = Some(store);
-    }
-
-    /// Turns product-quantized probing on or off. Enabling drops any int8
-    /// tier (the tiers are mutually exclusive) and trains the codebook over
-    /// the stored rows — immediately if at least [`PQ_TRAIN_MIN`] exist,
-    /// otherwise lazily at the insert that reaches the threshold; scans fall
-    /// back to exact f32 until then. Searches stay exact either way thanks
-    /// to the f32 re-rank.
-    pub fn set_product_quantization(&mut self, enabled: bool) {
-        if !enabled {
-            self.pq = None;
-            return;
-        }
-        self.quant = None;
-        if self.pq.is_some() {
-            return;
-        }
-        let mut pq = PqStore::new(PqConfig::default());
-        if self.len() >= PQ_TRAIN_MIN {
-            Self::train_pq(&mut pq, &self.data, self.dim, self.len());
-        }
-        self.pq = Some(pq);
-    }
-
-    /// True when the int8 probe path is active.
-    pub fn quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// True when the PQ probe path is active (codebook may still be
-    /// untrained — see [`ExactIndex::set_product_quantization`]).
-    pub fn product_quantized(&self) -> bool {
-        self.pq.is_some()
-    }
-
-    /// Bytes per vector the probe path touches: `m` (≈ dim/8) when a trained
-    /// PQ tier is active, `dim + 4` when int8-quantized (codes + scale),
-    /// `4·dim` for the f32 scan.
-    pub fn probe_bytes_per_vector(&self) -> usize {
-        if let Some(pq) = &self.pq {
-            if pq.ready() {
-                return pq.bytes_per_vector();
-            }
-        }
-        match &self.quant {
-            Some(q) if !q.is_empty() => q.bytes_per_vector(),
-            _ => self.dim * std::mem::size_of::<f32>(),
-        }
     }
 
     /// Number of live vectors.
@@ -304,124 +181,43 @@ impl<M: Metric> ExactIndex<M> {
     /// Exact `k` nearest neighbours of `query`, closest first; ties broken
     /// by id for determinism.
     ///
-    /// Large collections are scanned in parallel: fixed-size chunks (never
-    /// dependent on the thread count) each reduce to a local top-`k`, and
-    /// the ordered partial results merge sequentially — so the output is
-    /// identical at any `--threads` setting.
+    /// Large collections are scanned in parallel: every `SCAN_CHUNK` range
+    /// of rows (a fixed size, never dependent on the thread count) reduces
+    /// to a local top-`k`, and the partial results reduce to the top-`k` of
+    /// all. The top-`k` is exact, so the output is identical at any
+    /// `--threads` setting.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         OBS_SEARCHES.incr();
         OBS_PROBES.add(self.len() as u64);
         let query = self.prepared_query(query);
-        self.search_prepared(&query, k)
-    }
-
-    /// Vectors scanned per parallel work item in [`ExactIndex::search`] and
-    /// [`ExactIndex::search_batch`].
-    const SCAN_CHUNK: usize = 2048;
-
-    /// Search body for an already-prepared query (no counters).
-    fn search_prepared(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        if let Some(pq) = &self.pq {
-            if pq.ready() {
-                return self.search_pq(query, pq, k);
-            }
-        }
-        if let Some(quant) = &self.quant {
-            return self.search_quantized(query, quant, k);
-        }
-        self.top_by(k, |start, end, k| {
-            let mut distances = vec![0.0f32; end - start];
-            self.metric.prepared_distance_block(
-                query,
-                &self.data[start * self.dim..end * self.dim],
-                &mut distances,
-            );
-            self.nearest_rows(start, distances, k)
-        })
-    }
-
-    /// Chunked parallel scan skeleton: every `SCAN_CHUNK` range of rows
-    /// reduces to a local top-`k`, and the partial results reduce to the
-    /// top-`k` of all. The chunk size is fixed (never thread-count
-    /// dependent), and the top-`k` is exact, so the result is identical at
-    /// any `--threads` setting.
-    fn top_by(
-        &self,
-        k: usize,
-        scan: impl Fn(usize, usize, usize) -> Vec<Neighbor> + Send + Sync,
-    ) -> Vec<Neighbor> {
         let n = self.len();
         if n <= Self::SCAN_CHUNK {
-            return scan(0, n, k);
+            return self.scan(&query, 0, n, k);
         }
         let chunk_starts: Vec<usize> = (0..n).step_by(Self::SCAN_CHUNK).collect();
         let partial = pas_par::par_map(&chunk_starts, |_, &start| {
-            scan(start, (start + Self::SCAN_CHUNK).min(n), k)
+            self.scan(&query, start, (start + Self::SCAN_CHUNK).min(n), k)
         });
         top_k(partial.into_iter().flatten(), k)
     }
 
-    /// The `k` nearest of the rows from `start` on, given their distances.
-    fn nearest_rows(&self, start: usize, distances: Vec<f32>, k: usize) -> Vec<Neighbor> {
-        let ids = &self.ids[start..start + distances.len()];
+    /// Vectors scanned per parallel work item in [`ExactIndex::search`].
+    const SCAN_CHUNK: usize = 2048;
+
+    /// The `k` nearest of the rows `start..end` to an already-prepared
+    /// query.
+    fn scan(&self, query: &[f32], start: usize, end: usize, k: usize) -> Vec<Neighbor> {
+        let mut distances = vec![0.0f32; end - start];
+        self.metric.prepared_distance_block(
+            query,
+            &self.data[start * self.dim..end * self.dim],
+            &mut distances,
+        );
+        let ids = &self.ids[start..end];
         top_k(distances.into_iter().zip(ids).map(|(distance, &id)| Neighbor { id, distance }), k)
     }
 
-    /// The exact top-`k` of `candidates`, re-ranked by f32 distance.
-    fn rerank(&self, query: &[f32], candidates: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
-        OBS_RERANK.add(candidates.len() as u64);
-        let exact = candidates.into_iter().map(|h| Neighbor {
-            id: h.id,
-            distance: self.metric.prepared_distance(query, self.vector(h.id)),
-        });
-        top_k(exact, k)
-    }
-
-    /// int8 probe: approximate-scan all code rows, keep the
-    /// `rerank_overfetch(k)` best by `(approx distance, id)`, then compute
-    /// exact f32 distances for just those and return the true top-`k`.
-    fn search_quantized(&self, query: &[f32], quant: &QuantStore, k: usize) -> Vec<Neighbor> {
-        let (qcodes, qscale) =
-            self.metric.quantize(query).expect("metric has no quantized probe path");
-        OBS_QUANTIZED.add(self.len() as u64);
-        let approx = self.top_by(rerank_overfetch(k), |start, end, cap| {
-            let (panel, scales) = quant.rows(start, end);
-            let mut distances = vec![0.0f32; end - start];
-            self.metric.quantized_distance_block(&qcodes, qscale, panel, scales, &mut distances);
-            self.nearest_rows(start, distances, cap)
-        });
-        self.rerank(query, approx, k)
-    }
-
-    /// PQ probe: build one ADC table for the query, approximate-scan all
-    /// code rows with integer LUT adds, keep the `pq_rerank_overfetch(k)`
-    /// best by `(approx distance, id)`, then compute exact f32 distances for
-    /// just those and return the true top-`k`.
-    fn search_pq(&self, query: &[f32], pq: &PqStore, k: usize) -> Vec<Neighbor> {
-        let table = pq.table(query);
-        OBS_PQ.add(self.len() as u64);
-        let approx = self.top_by(pq_rerank_overfetch(k), |start, end, cap| {
-            let mut sums = Vec::new();
-            let mut distances = Vec::new();
-            table.distance_block(pq.rows(start, end), &mut sums, &mut distances);
-            self.nearest_rows(start, distances, cap)
-        });
-        self.rerank(query, approx, k)
-    }
-
-    /// `k` nearest neighbours for every query, computed in parallel (one
-    /// work item per query). Results are in query order.
-    pub fn search_batch(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Neighbor>> {
-        OBS_SEARCHES.add(queries.len() as u64);
-        OBS_PROBES.add((queries.len() * self.len()) as u64);
-        pas_par::par_map(queries, |_, q| {
-            let query = self.prepared_query(q);
-            self.search_prepared(&query, k)
-        })
-    }
-
-    /// All ids whose distance to `query` is at most `radius`. Always the
-    /// exact f32 path — a radius cut cannot tolerate approximation.
+    /// All ids whose distance to `query` is at most `radius`.
     pub fn search_radius(&self, query: &[f32], radius: f32) -> Vec<Neighbor> {
         OBS_SEARCHES.incr();
         OBS_PROBES.add(self.len() as u64);
@@ -548,17 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn search_batch_matches_per_query_search() {
-        let idx = index_with_points();
-        let queries = vec![vec![0.1, 0.0], vec![3.0, 3.0], vec![-1.0, -1.0]];
-        let batch = idx.search_batch(&queries, 2);
-        assert_eq!(batch.len(), 3);
-        for (q, hits) in queries.iter().zip(&batch) {
-            assert_eq!(hits, &idx.search(q, 2));
-        }
-    }
-
-    #[test]
     fn tie_break_by_id() {
         let mut idx = ExactIndex::new(EuclideanDistance);
         idx.insert(vec![1.0, 0.0]);
@@ -582,8 +367,7 @@ mod tests {
         assert!((hits[1].distance - 1.0).abs() < 1e-6);
     }
 
-    /// Unit vectors on a ring, dense enough that int8 rounding error could
-    /// flip neighbors without the re-rank.
+    /// Smoothly varying 4-d points, one per `i`.
     fn ring(n: usize) -> Vec<Vec<f32>> {
         (0..n)
             .map(|i| {
@@ -591,141 +375,6 @@ mod tests {
                 vec![x.sin(), x.cos(), (x * 0.7).sin(), (x * 1.3).cos()]
             })
             .collect()
-    }
-
-    #[test]
-    fn quantized_search_matches_f32_search_exactly() {
-        let mut plain = ExactIndex::new(CosineDistance);
-        let mut quant = ExactIndex::new(CosineDistance);
-        quant.set_quantization(true);
-        for v in ring(400) {
-            plain.insert(v.clone());
-            quant.insert(v);
-        }
-        assert!(quant.quantized());
-        assert_eq!(quant.probe_bytes_per_vector(), 4 + 4); // dim i8 + scale
-        assert_eq!(plain.probe_bytes_per_vector(), 16); // dim f32
-        for (qi, q) in ring(400).into_iter().step_by(29).enumerate() {
-            let want = plain.search(&q, 5);
-            let got = quant.search(&q, 5);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.id, w.id, "query {qi}");
-                // Re-ranked distances are the exact f32 ones, bit for bit.
-                assert_eq!(g.distance.to_bits(), w.distance.to_bits(), "query {qi}");
-            }
-        }
-        // Enabling after the fact quantizes retroactively and matches too.
-        let mut late = ExactIndex::new(CosineDistance);
-        for v in ring(400) {
-            late.insert(v);
-        }
-        late.set_quantization(true);
-        let q = vec![0.4, 0.6, -0.2, 0.1];
-        assert_eq!(late.search(&q, 3), quant.search(&q, 3));
-        // And switching off drops back to the plain path.
-        late.set_quantization(false);
-        assert!(!late.quantized());
-        assert_eq!(late.search(&q, 3), plain.search(&q, 3));
-    }
-
-    #[test]
-    fn quantized_scan_is_thread_invariant() {
-        let mut idx = ExactIndex::new(CosineDistance);
-        idx.set_quantization(true);
-        for i in 0..(super::ExactIndex::<CosineDistance>::SCAN_CHUNK * 2 + 31) {
-            let x = i as f32 * 0.0371;
-            idx.insert(vec![x.sin(), x.cos(), (x * 0.9).sin(), (x * 1.7).cos()]);
-        }
-        let query = [0.2, -0.4, 0.6, 0.1];
-        let run = |threads| pas_par::with_threads(threads, || idx.search(&query, 9));
-        assert_eq!(run(1), run(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "no quantized probe path")]
-    fn quantization_rejects_unsupported_metric() {
-        let mut idx = ExactIndex::new(EuclideanDistance);
-        idx.set_quantization(true);
-    }
-
-    /// Clustered unit vectors: `n` points around `clusters` smooth anchors.
-    fn clustered(n: usize, clusters: usize, dim: usize) -> Vec<Vec<f32>> {
-        (0..n)
-            .map(|i| {
-                let c = (i % clusters) as f32;
-                (0..dim)
-                    .map(|d| (d as f32 * 0.61 + c * 2.3).sin() + (i as f32 * 0.013).sin() * 0.05)
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn pq_search_recall_and_lazy_training() {
-        let mut plain = ExactIndex::new(CosineDistance);
-        let mut pq = ExactIndex::new(CosineDistance);
-        pq.set_product_quantization(true);
-        assert!(pq.product_quantized());
-        let vecs = clustered(500, 13, 16);
-        for (i, v) in vecs.iter().enumerate() {
-            plain.insert(v.clone());
-            pq.insert(v.clone());
-            if i + 1 < PQ_TRAIN_MIN {
-                // Below the training floor the probe path is still f32.
-                assert_eq!(pq.probe_bytes_per_vector(), 16 * 4);
-            }
-        }
-        // Trained: dim 16 → 2 bytes per vector, ≥ 8x below int8's dim+4.
-        assert_eq!(pq.probe_bytes_per_vector(), 2);
-        let mut hit = 0usize;
-        let mut total = 0usize;
-        for q in vecs.iter().step_by(17) {
-            let want = plain.search(q, 10);
-            let got = pq.search(q, 10);
-            assert_eq!(got.len(), want.len());
-            let want_ids: Vec<usize> = want.iter().map(|h| h.id).collect();
-            hit += got.iter().filter(|h| want_ids.contains(&h.id)).count();
-            total += want.len();
-            // Whatever PQ returns carries exact f32 distances.
-            for g in &got {
-                let exact = plain.search_radius(&vecs[g.id], 0.0);
-                assert!(!exact.is_empty() || g.distance >= 0.0);
-            }
-        }
-        assert!(hit as f64 >= total as f64 * 0.95, "recall {hit}/{total} below 0.95");
-        // Disabling falls back to the plain scan, bit-identical.
-        pq.set_product_quantization(false);
-        let q = &vecs[3];
-        assert_eq!(pq.search(q, 5), plain.search(q, 5));
-    }
-
-    #[test]
-    fn pq_and_int8_tiers_are_mutually_exclusive() {
-        let mut idx = ExactIndex::new(CosineDistance);
-        for v in clustered(PQ_TRAIN_MIN + 10, 7, 8) {
-            idx.insert(v);
-        }
-        idx.set_quantization(true);
-        assert!(idx.quantized());
-        idx.set_product_quantization(true);
-        assert!(idx.product_quantized() && !idx.quantized());
-        assert_eq!(idx.probe_bytes_per_vector(), 1); // dim 8 → m 1
-        idx.set_quantization(true);
-        assert!(idx.quantized() && !idx.product_quantized());
-        assert_eq!(idx.probe_bytes_per_vector(), 8 + 4);
-    }
-
-    #[test]
-    fn pq_search_is_thread_invariant() {
-        let mut idx = ExactIndex::new(CosineDistance);
-        idx.set_product_quantization(true);
-        for v in clustered(super::ExactIndex::<CosineDistance>::SCAN_CHUNK * 2 + 31, 11, 8) {
-            idx.insert(v);
-        }
-        let query = clustered(1, 5, 8).pop().unwrap();
-        let run = |threads| pas_par::with_threads(threads, || idx.search(&query, 9));
-        assert_eq!(run(1), run(8));
     }
 
     #[test]
@@ -816,15 +465,6 @@ mod tests {
     #[should_panic(expected = "repeats or is not below")]
     fn from_rows_refuses_an_id_past_next_id() {
         ExactIndex::from_rows(EuclideanDistance, 2, [(2, 1.0, vec![1.0])]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot remove rows")]
-    fn remove_refuses_an_index_with_a_code_tier() {
-        let mut idx = ExactIndex::new(CosineDistance);
-        idx.insert(vec![1.0, 0.0]);
-        idx.set_quantization(true);
-        idx.remove(0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Approximate nearest-neighbour search and clustering.
+//! Approximate nearest-neighbour search and near-duplicate detection.
 //!
 //! The PAS data-selection pipeline (§3.1 of the paper) deduplicates prompt
 //! embeddings with HNSW. This crate implements that substrate from scratch:
@@ -9,7 +9,6 @@
 //! - [`exact`] — a brute-force scanner with the same query interface and
 //!   stable ids under removal: the semantic cache's near tier, the ground
 //!   truth in recall tests and the baseline in benches.
-//! - [`kmeans`] — seeded k-means++ clustering for the grouping step.
 //! - [`dedup`] — the near-duplicate grouping engine built on the index.
 //! - [`minhash`] — MinHash signatures + LSH banding: the classical
 //!   near-duplicate detector, as an alternative dedup backend and a
@@ -19,18 +18,14 @@
 pub mod dedup;
 pub mod exact;
 pub mod hnsw;
-pub mod kmeans;
 pub mod metric;
 pub mod minhash;
-pub mod quant;
 
 pub use dedup::{DedupConfig, DedupOutcome, Deduplicator};
 pub use exact::ExactIndex;
 pub use hnsw::{Hnsw, HnswConfig};
-pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use metric::{CosineDistance, EuclideanDistance, Metric};
 pub use minhash::{LshIndex, MinHashConfig, MinHashDeduplicator, MinHasher, Signature};
-pub use quant::{PqCodebook, PqConfig, PqStore, PqTable, QuantStore, PQ_TRAIN_MIN};
 
 /// A search hit: item id plus its distance to the query (smaller = closer).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,19 +7,11 @@
 //! [`CosineDistance`] uses this to store unit vectors, turning every probe
 //! into `1 − dot` — no per-probe norms, no square roots.
 //!
-//! Two further refinements feed the raw-speed layer:
-//!
-//! - **Block probes** ([`Metric::prepared_distance_block`]): one query
-//!   against a packed panel of stored rows. Each output must be
-//!   bit-identical to the pairwise [`Metric::prepared_distance`] — cosine
-//!   routes through [`pas_kernels::dot_block`], whose per-row accumulation
-//!   *is* the striped [`pas_kernels::dot`].
-//! - **int8 quantization** ([`Metric::quantize`]): an optional compressed
-//!   form of a prepared vector (codes + one `f32` scale) with an approximate
-//!   integer-dot distance ([`Metric::quantized_distance`]). Integer dots are
-//!   exact on every backend, so the approximation is deterministic; indexes
-//!   use it for traversal and re-rank an over-fetched top-k with the exact
-//!   f32 path (see [`crate::quant`]).
+//! **Block probes** ([`Metric::prepared_distance_block`]) compare one query
+//! against a packed panel of stored rows. Each output must be bit-identical
+//! to the pairwise [`Metric::prepared_distance`]: cosine routes through
+//! [`pas_kernels::dot_block`], whose per-row accumulation *is* the striped
+//! [`pas_kernels::dot`].
 
 use pas_kernels as kernels;
 
@@ -52,64 +44,6 @@ pub trait Metric: Send + Sync {
         for (r, o) in out.iter_mut().enumerate() {
             *o = self.prepared_distance(query, &panel[r * d..(r + 1) * d]);
         }
-    }
-
-    /// int8-quantizes a *prepared* vector into `(codes, scale)`, or `None`
-    /// when the metric has no integer probe path (the default). The indexes
-    /// gate their quantized storage on this.
-    fn quantize(&self, prepared: &[f32]) -> Option<(Vec<i8>, f32)> {
-        let _ = prepared;
-        None
-    }
-
-    /// Approximate distance between two quantized vectors. Only called when
-    /// [`Metric::quantize`] returns `Some`; must be deterministic across
-    /// machines and kernel backends (integer dots are, by construction).
-    fn quantized_distance(&self, a: &[i8], sa: f32, b: &[i8], sb: f32) -> f32 {
-        let _ = (a, sa, b, sb);
-        unimplemented!("metric has no quantized probe path")
-    }
-
-    /// [`Metric::quantized_distance`] of one quantized query against a
-    /// packed panel of code rows. Bit-identical to the pairwise calls; the
-    /// default loops.
-    fn quantized_distance_block(
-        &self,
-        query: &[i8],
-        qscale: f32,
-        panel: &[i8],
-        scales: &[f32],
-        out: &mut [f32],
-    ) {
-        let d = query.len();
-        assert_eq!(panel.len(), d * out.len(), "panel/rows mismatch");
-        assert_eq!(scales.len(), out.len(), "scales/rows mismatch");
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = self.quantized_distance(query, qscale, &panel[r * d..(r + 1) * d], scales[r]);
-        }
-    }
-
-    /// Row-indexed [`Metric::quantized_distance_block`]: probe the rows
-    /// `rows[j]` of a flat code store directly — no packed panel. `idots`
-    /// is caller-owned integer scratch (so steady-state probes allocate
-    /// nothing). Bit-identical to the pairwise calls; the default loops.
-    #[allow(clippy::too_many_arguments)]
-    fn quantized_distance_rows(
-        &self,
-        query: &[i8],
-        qscale: f32,
-        codes: &[i8],
-        scales: &[f32],
-        rows: &[usize],
-        idots: &mut Vec<i32>,
-        out: &mut Vec<f32>,
-    ) {
-        let d = query.len();
-        let _ = idots;
-        out.clear();
-        out.extend(rows.iter().map(|&r| {
-            self.quantized_distance(query, qscale, &codes[r * d..(r + 1) * d], scales[r])
-        }));
     }
 }
 
@@ -151,73 +85,6 @@ impl Metric for CosineDistance {
         for o in out.iter_mut() {
             *o = (1.0 - *o).max(0.0);
         }
-    }
-
-    /// Symmetric per-vector scaling: `scale = max|v| / 127`, codes are
-    /// `round(v / scale)` in `[-127, 127]`. A zero vector quantizes to all
-    /// zeros with scale 0, and the integer probe then reports distance 1 —
-    /// the same zero-vector convention as the f32 path.
-    fn quantize(&self, prepared: &[f32]) -> Option<(Vec<i8>, f32)> {
-        let max_abs = prepared.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-        if max_abs == 0.0 {
-            return Some((vec![0; prepared.len()], 0.0));
-        }
-        let scale = max_abs / 127.0;
-        let inv = 127.0 / max_abs;
-        let codes =
-            prepared.iter().map(|&x| (x * inv).round().clamp(-127.0, 127.0) as i8).collect();
-        Some((codes, scale))
-    }
-
-    #[inline]
-    fn quantized_distance(&self, a: &[i8], sa: f32, b: &[i8], sb: f32) -> f32 {
-        // Approximate `1 − a·b` with the exact integer dot of the codes
-        // rescaled once. Deterministic on every backend: the i32 dot is
-        // exact, and the float rescale is two muls and a sub in fixed order.
-        (1.0 - kernels::dot_i8(a, b) as f32 * (sa * sb)).max(0.0)
-    }
-
-    fn quantized_distance_block(
-        &self,
-        query: &[i8],
-        qscale: f32,
-        panel: &[i8],
-        scales: &[f32],
-        out: &mut [f32],
-    ) {
-        let d = query.len();
-        assert_eq!(panel.len(), d * out.len(), "panel/rows mismatch");
-        assert_eq!(scales.len(), out.len(), "scales/rows mismatch");
-        let mut dots = vec![0i32; out.len()];
-        kernels::dot_i8_block(query, panel, &mut dots);
-        for ((o, &idot), &s) in out.iter_mut().zip(&dots).zip(scales) {
-            *o = (1.0 - idot as f32 * (qscale * s)).max(0.0);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn quantized_distance_rows(
-        &self,
-        query: &[i8],
-        qscale: f32,
-        codes: &[i8],
-        scales: &[f32],
-        rows: &[usize],
-        idots: &mut Vec<i32>,
-        out: &mut Vec<f32>,
-    ) {
-        // The row-indexed kernel computes the same exact integer dots as the
-        // pairwise path; the decode is the identical two-mul-one-sub chain.
-        idots.clear();
-        idots.resize(rows.len(), 0);
-        kernels::dot_i8_rows(query, codes, rows, idots);
-        out.clear();
-        out.extend(
-            idots
-                .iter()
-                .zip(rows)
-                .map(|(&idot, &r)| (1.0 - idot as f32 * (qscale * scales[r])).max(0.0)),
-        );
     }
 }
 
@@ -327,39 +194,6 @@ mod tests {
                 "row {r}"
             );
         }
-    }
-
-    #[test]
-    fn quantization_approximates_and_keeps_conventions() {
-        // Euclidean opts out.
-        assert!(EuclideanDistance.quantize(&[1.0, 2.0]).is_none());
-        // Cosine quantizes prepared (unit) vectors with small error.
-        for seed in 0..5 {
-            let mut v: Vec<f32> = (0..48).map(|i| ((i + seed * 31) as f32 * 0.23).sin()).collect();
-            let mut w: Vec<f32> = (0..48).map(|i| ((i + seed * 17) as f32 * 0.41).cos()).collect();
-            CosineDistance.prepare(&mut v);
-            CosineDistance.prepare(&mut w);
-            let (cv, sv) = CosineDistance.quantize(&v).unwrap();
-            let (cw, sw) = CosineDistance.quantize(&w).unwrap();
-            let exact = CosineDistance.prepared_distance(&v, &w);
-            let approx = CosineDistance.quantized_distance(&cv, sv, &cw, sw);
-            assert!((exact - approx).abs() < 0.02, "seed {seed}: exact {exact} vs approx {approx}");
-        }
-        // Zero vector: scale 0, all-zero codes, distance 1 — the shared
-        // convention survives quantization.
-        let (cz, sz) = CosineDistance.quantize(&[0.0; 8]).unwrap();
-        assert_eq!(sz, 0.0);
-        let mut u = vec![1.0f32, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-        CosineDistance.prepare(&mut u);
-        let (cu, su) = CosineDistance.quantize(&u).unwrap();
-        assert_eq!(CosineDistance.quantized_distance(&cz, sz, &cu, su), 1.0);
-        // Block form is bit-identical to pairwise.
-        let panel: Vec<i8> = cz.iter().chain(&cu).copied().collect();
-        let mut out = vec![0.0f32; 2];
-        CosineDistance.quantized_distance_block(&cu, su, &panel, &[sz, su], &mut out);
-        assert_eq!(out[0].to_bits(), CosineDistance.quantized_distance(&cu, su, &cz, sz).to_bits());
-        assert_eq!(out[1].to_bits(), CosineDistance.quantized_distance(&cu, su, &cu, su).to_bits());
-        assert!(out[1] < 1e-3, "self distance after quantization: {}", out[1]);
     }
 
     #[test]

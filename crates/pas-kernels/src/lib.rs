@@ -49,9 +49,7 @@
 //! rows. Each output is bit-identical to [`dot`] of that pair; the speed
 //! comes from running four independent striped accumulator chains at once
 //! (a single striped dot is add-latency-bound, so same-order SIMD cannot
-//! beat it — inter-dot parallelism can). [`dot_i8`] / [`dot_i8_block`] are
-//! the int8 quantized-probe primitives; integer addition is associative, so
-//! those are exact on every backend by definition.
+//! beat it — inter-dot parallelism can).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -191,19 +189,6 @@ fn reduce8(acc: [f32; LANES]) -> f32 {
     (s04 + s26) + (s15 + s37)
 }
 
-/// True when row `r` of `width` elements lies inside a store of `len`
-/// elements. The arithmetic is checked: a wrapped `(r + 1) · width` would
-/// pass a plain `<=` and send the SIMD kernels' row offsets outside the
-/// store.
-fn row_fits(r: usize, width: usize, len: usize) -> bool {
-    r.checked_add(1).and_then(|end| end.checked_mul(width)).is_some_and(|end| end <= len)
-}
-
-/// Longest table set the AVX2 ADC gathers address: their offsets are
-/// `i32` lanes. A longer one takes the scalar walk, which is bit-identical.
-#[cfg(target_arch = "x86_64")]
-const GATHER_MAX: usize = i32::MAX as usize;
-
 #[inline(always)]
 fn assert_same_len(a: &[f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "dimension mismatch: {} vs {}", a.len(), b.len());
@@ -304,8 +289,8 @@ pub fn cosine_sim(a: &[f32], b: &[f32]) -> f32 {
 /// Every output is **bit-identical to [`dot`]** of the same pair — the block
 /// form exists because a single striped dot is add-latency-bound, while four
 /// independent accumulator chains sharing one query load stream ~4× the
-/// data per cycle. This is the ANN probe primitive: ExactIndex scans,
-/// HNSW batched neighbor expansions, and `matmul_t` all reduce to it.
+/// data per cycle. This is the ANN probe primitive: ExactIndex scans and
+/// `matmul_t` both reduce to it.
 ///
 /// # Panics
 /// Panics when `panel.len() != query.len() * out.len()`.
@@ -329,225 +314,6 @@ pub fn dot_block(query: &[f32], panel: &[f32], out: &mut [f32]) {
         Backend::Scalar => {}
     }
     striped::dot_block(query, panel, out)
-}
-
-/// Integer dot product of two int8 code vectors, exact in `i32`. Integer
-/// addition is associative, so every backend returns the same value by
-/// definition — the quantized probe path is backend-invariant for free.
-///
-/// # Panics
-/// Panics when the lengths differ.
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "dimension mismatch: {} vs {}", a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 {
-        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and the
-        // assert above makes `a` and `b` equally long.
-        return unsafe { x86::dot_i8_avx2(a, b) };
-    }
-    striped::dot_i8(a, b)
-}
-
-/// Block form of [`dot_i8`]: one int8 query against a packed panel of code
-/// rows. Exact on every backend.
-///
-/// # Panics
-/// Panics when `panel.len() != query.len() * out.len()`.
-pub fn dot_i8_block(query: &[i8], panel: &[i8], out: &mut [i32]) {
-    assert_eq!(
-        panel.len(),
-        query.len() * out.len(),
-        "dot_i8_block: panel length {} does not match {} rows of {}",
-        panel.len(),
-        out.len(),
-        query.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 {
-        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and the
-        // assert above makes `panel` exactly `out.len()` rows of `query.len()`.
-        return unsafe { x86::dot_i8_block_avx2(query, panel, out) };
-    }
-    striped::dot_i8_block(query, panel, out)
-}
-
-/// Row-indexed form of [`dot_i8_block`]: dots of one int8 query against the
-/// rows `rows[j]` of a flat row-major code store, written straight to `out`
-/// with no packed panel in between. Exact on every backend.
-///
-/// # Panics
-/// Panics when `rows.len() != out.len()` or any row index is out of range
-/// for `codes` (`query.len()` elements per row).
-pub fn dot_i8_rows(query: &[i8], codes: &[i8], rows: &[usize], out: &mut [i32]) {
-    let d = query.len();
-    assert_eq!(rows.len(), out.len(), "dot_i8_rows: {} rows for {} outputs", rows.len(), out.len());
-    for &r in rows {
-        assert!(row_fits(r, d, codes.len()), "dot_i8_rows: row {r} out of range");
-    }
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 {
-        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2; the
-        // asserts above match `rows` to `out` and put every indexed row inside
-        // `codes`.
-        return unsafe { x86::dot_i8_rows_avx2(query, codes, rows, out) };
-    }
-    striped::dot_i8_rows(query, codes, rows, out)
-}
-
-/// Sum of `lut[s·256 + codes[s]]` over subspaces `s` — the 8-bit ADC
-/// (asymmetric distance computation) primitive for product-quantized
-/// probes. Entries are fixed-point integers (the PQ table builder quantizes
-/// each f32 sub-dot to 16-bit fixed point in a `u32` slot), so accumulation
-/// is pure integer adds: associative, exact, and therefore bit-identical on
-/// every backend and at every thread count by definition. The AVX2 path
-/// turns the table walk into 8-wide `vpgatherdd` gathers (one gather per
-/// eight subspaces); SSE2 has no gather, so it shares the scalar loop.
-///
-/// # Panics
-/// Panics when `lut.len() != codes.len() * 256`.
-pub fn lut_gather(lut: &[u32], codes: &[u8]) -> u32 {
-    assert_eq!(
-        lut.len(),
-        codes.len() * 256,
-        "lut_gather: lut length {} does not match {} subspaces of 256",
-        lut.len(),
-        codes.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 && lut.len() <= GATHER_MAX {
-        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2; the
-        // assert above gives `lut` one 256-entry table per code, so every
-        // gathered offset `s·256 + code` is below `lut.len()`, which
-        // `GATHER_MAX` keeps within `i32`.
-        return unsafe { x86::lut_gather_avx2(lut, codes) };
-    }
-    striped::lut_gather(lut, codes)
-}
-
-/// Block form of [`lut_gather`]: one ADC table set against a packed
-/// row-major panel of code rows (`panel[r·m..(r+1)·m]` is row `r`). Exact
-/// on every backend.
-///
-/// # Panics
-/// Panics when `lut.len()` is not a multiple of 256 or `panel.len()` does
-/// not match `out.len()` rows of `lut.len() / 256` codes.
-pub fn lut_gather_block(lut: &[u32], panel: &[u8], out: &mut [u32]) {
-    assert_eq!(
-        lut.len() % 256,
-        0,
-        "lut_gather_block: lut length {} is not a multiple of 256",
-        lut.len()
-    );
-    let m = lut.len() / 256;
-    assert_eq!(
-        panel.len(),
-        m * out.len(),
-        "lut_gather_block: panel length {} does not match {} rows of {m}",
-        panel.len(),
-        out.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 && lut.len() <= GATHER_MAX {
-        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2; the
-        // asserts above make `lut` whole 256-entry tables, at most `GATHER_MAX`
-        // entries long, and `panel` exactly `out.len()` rows of one code per
-        // table.
-        return unsafe { x86::lut_gather_block_avx2(lut, panel, out) };
-    }
-    striped::lut_gather_block(lut, panel, out)
-}
-
-/// Row-indexed form of [`lut_gather_block`]: ADC sums for the code rows
-/// `rows[j]` of a flat row-major store, with no packed panel in between.
-/// Exact on every backend.
-///
-/// # Panics
-/// Panics when `lut.len()` is not a multiple of 256, `rows.len() !=
-/// out.len()`, or any row index is out of range for `codes`.
-pub fn lut_gather_rows(lut: &[u32], codes: &[u8], rows: &[usize], out: &mut [u32]) {
-    assert_eq!(
-        lut.len() % 256,
-        0,
-        "lut_gather_rows: lut length {} not a multiple of 256",
-        lut.len()
-    );
-    let m = lut.len() / 256;
-    assert_eq!(
-        rows.len(),
-        out.len(),
-        "lut_gather_rows: {} rows for {} outputs",
-        rows.len(),
-        out.len()
-    );
-    for &r in rows {
-        assert!(row_fits(r, m, codes.len()), "lut_gather_rows: row {r} out of range");
-    }
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 && lut.len() <= GATHER_MAX {
-        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2; the
-        // asserts above make `lut` whole 256-entry tables, at most `GATHER_MAX`
-        // entries long, match `rows` to `out`, and put every indexed row inside
-        // `codes`.
-        return unsafe { x86::lut_gather_rows_avx2(lut, codes, rows, out) };
-    }
-    striped::lut_gather_rows(lut, codes, rows, out)
-}
-
-/// 4-bit ADC single-row form: `codes[s]` holds one nibble value per byte
-/// (high nibble bits are ignored) and `lut` holds `codes.len()` tables of
-/// 16 `u8` entries. A single row has no lanes to amortize a shuffle over,
-/// so every backend shares the scalar walk — the SIMD win lives in
-/// [`lut_gather4_block`].
-///
-/// # Panics
-/// Panics when `lut.len() != codes.len() * 16`.
-pub fn lut_gather4(lut: &[u8], codes: &[u8]) -> u32 {
-    assert_eq!(
-        lut.len(),
-        codes.len() * 16,
-        "lut_gather4: lut length {} does not match {} subspaces of 16",
-        lut.len(),
-        codes.len()
-    );
-    striped::lut_gather4(lut, codes)
-}
-
-/// Block form of the 4-bit ADC over a **transposed** (subspace-major)
-/// nibble panel: `codes_t[s·rows + r]` is row `r`'s code in subspace `s`,
-/// one nibble value per byte (high bits ignored). The transposed layout is
-/// what lets AVX2 run `pshufb`-style 16-way nibble gathers: each
-/// subspace's 16-entry table broadcasts to both 128-bit lanes and one
-/// shuffle looks up 32 rows' codes at once. Partial sums ride exact
-/// `u16`/`u32` integer adds, so every backend agrees bit-for-bit (SSE2
-/// lacks `pshufb`, so it shares the scalar loop).
-///
-/// # Panics
-/// Panics when the buffer shapes disagree or there are more than 256
-/// subspaces (the `u16` partials are exact only up to 256 entries of 255).
-pub fn lut_gather4_block(lut: &[u8], codes_t: &[u8], out: &mut [u32]) {
-    assert_eq!(
-        lut.len() % 16,
-        0,
-        "lut_gather4_block: lut length {} is not a multiple of 16",
-        lut.len()
-    );
-    let m = lut.len() / 16;
-    assert!(m <= 256, "lut_gather4_block: {m} subspaces overflow the u16 partial sums");
-    assert_eq!(
-        codes_t.len(),
-        m * out.len(),
-        "lut_gather4_block: transposed panel length {} does not match {} rows of {m}",
-        codes_t.len(),
-        out.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 {
-        // SAFETY: `backend()` is `Avx2` only when the CPU reports AVX2, and the
-        // asserts above make `lut` whole 16-entry tables and `codes_t` one code
-        // per table for each of the `out.len()` rows.
-        return unsafe { x86::lut_gather4_block_avx2(lut, codes_t, out) };
-    }
-    striped::lut_gather4_block(lut, codes_t, out)
 }
 
 /// `y[i] += alpha * x[i]`. Element-wise — no reduction, so vectorization is
@@ -734,88 +500,6 @@ pub mod striped {
         assert_eq!(panel.len(), d * out.len(), "dot_block: panel/rows mismatch");
         for (r, o) in out.iter_mut().enumerate() {
             *o = dot(query, &panel[r * d..(r + 1) * d]);
-        }
-    }
-
-    /// Scalar int8 dot, exact in `i32`. See [`super::dot_i8`].
-    pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        assert_eq!(a.len(), b.len(), "dimension mismatch: {} vs {}", a.len(), b.len());
-        let mut sum = 0i32;
-        for (&x, &y) in a.iter().zip(b) {
-            sum += x as i32 * y as i32;
-        }
-        sum
-    }
-
-    /// Scalar int8 block dot. See [`super::dot_i8_block`].
-    pub fn dot_i8_block(query: &[i8], panel: &[i8], out: &mut [i32]) {
-        let d = query.len();
-        assert_eq!(panel.len(), d * out.len(), "dot_i8_block: panel/rows mismatch");
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = dot_i8(query, &panel[r * d..(r + 1) * d]);
-        }
-    }
-
-    /// Scalar row-indexed int8 dots. See [`super::dot_i8_rows`].
-    pub fn dot_i8_rows(query: &[i8], codes: &[i8], rows: &[usize], out: &mut [i32]) {
-        let d = query.len();
-        assert_eq!(rows.len(), out.len(), "dot_i8_rows: rows/outputs mismatch");
-        for (&r, o) in rows.iter().zip(out) {
-            *o = dot_i8(query, &codes[r * d..(r + 1) * d]);
-        }
-    }
-
-    /// Scalar 8-bit ADC table walk, exact in `u32`. See
-    /// [`super::lut_gather`].
-    pub fn lut_gather(lut: &[u32], codes: &[u8]) -> u32 {
-        assert_eq!(lut.len(), codes.len() * 256, "lut_gather: lut/codes mismatch");
-        let mut sum = 0u32;
-        for (s, &c) in codes.iter().enumerate() {
-            sum = sum.wrapping_add(lut[s * 256 + c as usize]);
-        }
-        sum
-    }
-
-    /// Scalar 8-bit ADC block walk. See [`super::lut_gather_block`].
-    pub fn lut_gather_block(lut: &[u32], panel: &[u8], out: &mut [u32]) {
-        let m = lut.len() / 256;
-        assert_eq!(panel.len(), m * out.len(), "lut_gather_block: panel/rows mismatch");
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = lut_gather(lut, &panel[r * m..(r + 1) * m]);
-        }
-    }
-
-    /// Scalar row-indexed 8-bit ADC walk. See [`super::lut_gather_rows`].
-    pub fn lut_gather_rows(lut: &[u32], codes: &[u8], rows: &[usize], out: &mut [u32]) {
-        let m = lut.len() / 256;
-        assert_eq!(rows.len(), out.len(), "lut_gather_rows: rows/outputs mismatch");
-        for (&r, o) in rows.iter().zip(out) {
-            *o = lut_gather(lut, &codes[r * m..(r + 1) * m]);
-        }
-    }
-
-    /// Scalar 4-bit ADC table walk. See [`super::lut_gather4`].
-    pub fn lut_gather4(lut: &[u8], codes: &[u8]) -> u32 {
-        assert_eq!(lut.len(), codes.len() * 16, "lut_gather4: lut/codes mismatch");
-        let mut sum = 0u32;
-        for (s, &c) in codes.iter().enumerate() {
-            sum += lut[s * 16 + (c & 15) as usize] as u32;
-        }
-        sum
-    }
-
-    /// Scalar 4-bit ADC block walk over a transposed panel. See
-    /// [`super::lut_gather4_block`].
-    pub fn lut_gather4_block(lut: &[u8], codes_t: &[u8], out: &mut [u32]) {
-        let m = lut.len() / 16;
-        let rows = out.len();
-        assert_eq!(codes_t.len(), m * rows, "lut_gather4_block: panel/rows mismatch");
-        for (r, o) in out.iter_mut().enumerate() {
-            let mut sum = 0u32;
-            for s in 0..m {
-                sum += lut[s * 16 + (codes_t[s * rows + r] & 15) as usize] as u32;
-            }
-            *o = sum;
         }
     }
 
@@ -1298,390 +982,6 @@ mod x86 {
         }
     }
 
-    // ---- dot_i8 ---------------------------------------------------------
-
-    /// int8 dot via sign-extension to i16 and `madd` (pairs of i16 products
-    /// summed into i32 lanes). Integer adds are associative, so the lane
-    /// layout is free to differ from scalar — the result is exact either way.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. `a` and `b` must have the same length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len();
-        let split = n - n % 16;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i < split {
-            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(pa.add(i) as *const __m128i));
-            let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(pb.add(i) as *const __m128i));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-            i += 16;
-        }
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let mut sum: i32 = lanes.iter().sum();
-        for i in split..n {
-            sum += *pa.add(i) as i32 * *pb.add(i) as i32;
-        }
-        sum
-    }
-
-    /// Four int8 dots sharing every 16-wide query conversion: one
-    /// `cvtepi8_epi16` of the query chunk feeds four independent
-    /// `madd`-accumulator chains (inter-dot ILP), and a 3-`hadd` transpose
-    /// reduces all four accumulators at once instead of four lane spills.
-    /// Integer adds are associative, so the result is exact either way.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. Each of `p0`–`p3` must be valid for reads of
-    /// `query.len()` elements.
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_i8_quad_avx2(
-        query: &[i8],
-        p0: *const i8,
-        p1: *const i8,
-        p2: *const i8,
-        p3: *const i8,
-    ) -> (i32, i32, i32, i32) {
-        let n = query.len();
-        let split = n - n % 16;
-        let pq = query.as_ptr();
-        let mut a0 = _mm256_setzero_si256();
-        let mut a1 = _mm256_setzero_si256();
-        let mut a2 = _mm256_setzero_si256();
-        let mut a3 = _mm256_setzero_si256();
-        let mut i = 0;
-        while i < split {
-            let vq = _mm256_cvtepi8_epi16(_mm_loadu_si128(pq.add(i) as *const __m128i));
-            let r0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(p0.add(i) as *const __m128i));
-            let r1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(p1.add(i) as *const __m128i));
-            let r2 = _mm256_cvtepi8_epi16(_mm_loadu_si128(p2.add(i) as *const __m128i));
-            let r3 = _mm256_cvtepi8_epi16(_mm_loadu_si128(p3.add(i) as *const __m128i));
-            a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(vq, r0));
-            a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(vq, r1));
-            a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(vq, r2));
-            a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(vq, r3));
-            i += 16;
-        }
-        let (mut s0, mut s1, mut s2, mut s3) = reduce_quad_epi32(a0, a1, a2, a3);
-        for i in split..n {
-            let q = *pq.add(i) as i32;
-            s0 += q * *p0.add(i) as i32;
-            s1 += q * *p1.add(i) as i32;
-            s2 += q * *p2.add(i) as i32;
-            s3 += q * *p3.add(i) as i32;
-        }
-        (s0, s1, s2, s3)
-    }
-
-    /// Transposes four 8-lane i32 accumulators into their four total sums:
-    /// `hadd(hadd(a0,a1), hadd(a2,a3))` leaves `[a0 a1 a2 a3]` partials in
-    /// each 128-bit half, and one final add folds the halves.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn reduce_quad_epi32(
-        a0: __m256i,
-        a1: __m256i,
-        a2: __m256i,
-        a3: __m256i,
-    ) -> (i32, i32, i32, i32) {
-        let h01 = _mm256_hadd_epi32(a0, a1);
-        let h23 = _mm256_hadd_epi32(a2, a3);
-        let h = _mm256_hadd_epi32(h01, h23);
-        let s = _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256::<1>(h));
-        let mut lanes = [0i32; 4];
-        _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, s);
-        (lanes[0], lanes[1], lanes[2], lanes[3])
-    }
-
-    /// Blocked int8 dots: quad rows share query conversions, the tail runs
-    /// the single-row kernel. See [`super::dot_i8_block`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. `panel.len()` must equal `query.len() *
-    /// out.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8_block_avx2(query: &[i8], panel: &[i8], out: &mut [i32]) {
-        let d = query.len();
-        let rows = out.len();
-        let pp = panel.as_ptr();
-        let mut r = 0;
-        while r + 4 <= rows {
-            let (s0, s1, s2, s3) = dot_i8_quad_avx2(
-                query,
-                pp.add(r * d),
-                pp.add((r + 1) * d),
-                pp.add((r + 2) * d),
-                pp.add((r + 3) * d),
-            );
-            out[r] = s0;
-            out[r + 1] = s1;
-            out[r + 2] = s2;
-            out[r + 3] = s3;
-            r += 4;
-        }
-        for r in r..rows {
-            out[r] = dot_i8_avx2(query, &panel[r * d..(r + 1) * d]);
-        }
-    }
-
-    /// Row-indexed int8 dots straight off the flat code store. See
-    /// [`super::dot_i8_rows`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. `rows.len()` must equal `out.len()`, and
-    /// every `r` in `rows` must satisfy `(r + 1) * query.len() <= codes.len()`
-    /// without overflow.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8_rows_avx2(query: &[i8], codes: &[i8], rows: &[usize], out: &mut [i32]) {
-        let d = query.len();
-        let pc = codes.as_ptr();
-        let mut r = 0;
-        while r + 4 <= rows.len() {
-            let (s0, s1, s2, s3) = dot_i8_quad_avx2(
-                query,
-                pc.add(rows[r] * d),
-                pc.add(rows[r + 1] * d),
-                pc.add(rows[r + 2] * d),
-                pc.add(rows[r + 3] * d),
-            );
-            out[r] = s0;
-            out[r + 1] = s1;
-            out[r + 2] = s2;
-            out[r + 3] = s3;
-            r += 4;
-        }
-        for r in r..rows.len() {
-            out[r] = dot_i8_avx2(query, &codes[rows[r] * d..(rows[r] + 1) * d]);
-        }
-    }
-
-    // ---- lut_gather (product-quantization ADC) --------------------------
-
-    /// 8-bit ADC via `vpgatherdd`: eight subspace codes zero-extend to i32
-    /// table offsets and one gather pulls eight fixed-point entries at once.
-    /// Integer adds are associative, so the lane layout is free to differ
-    /// from scalar — the sum is exact either way.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. `lut.len()` must equal `codes.len() * 256`
-    /// and be at most `i32::MAX`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lut_gather_avx2(lut: &[u32], codes: &[u8]) -> u32 {
-        let m = codes.len();
-        let split = m - m % 8;
-        let base = lut.as_ptr() as *const i32;
-        let pc = codes.as_ptr();
-        let mut offs = _mm256_setr_epi32(0, 256, 512, 768, 1024, 1280, 1536, 1792);
-        let step = _mm256_set1_epi32(8 * 256);
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i < split {
-            let idx = _mm256_cvtepu8_epi32(_mm_loadl_epi64(pc.add(i) as *const __m128i));
-            let vals = _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(offs, idx));
-            acc = _mm256_add_epi32(acc, vals);
-            offs = _mm256_add_epi32(offs, step);
-            i += 8;
-        }
-        let mut lanes = [0u32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let mut sum = lanes.iter().fold(0u32, |a, &x| a.wrapping_add(x));
-        for s in split..m {
-            sum = sum.wrapping_add(lut[s * 256 + *pc.add(s) as usize]);
-        }
-        sum
-    }
-
-    /// Four ADC row sums at once: each 8-subspace chunk issues four
-    /// `vpgatherdd`s sharing the same offset vector, and the quad `hadd`
-    /// transpose replaces four per-row lane spills — the reduction is the
-    /// dominant cost at the PQ code widths (m = 8 is a single chunk).
-    /// Wrapping integer adds are associative, so the sums are exact.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. `lut.len()` must be a multiple of 256 and at
-    /// most `i32::MAX`, and each of `c0`–`c3` must be valid for reads of
-    /// `lut.len() / 256` bytes.
-    #[target_feature(enable = "avx2")]
-    unsafe fn lut_gather_quad_avx2(
-        lut: &[u32],
-        c0: *const u8,
-        c1: *const u8,
-        c2: *const u8,
-        c3: *const u8,
-    ) -> (u32, u32, u32, u32) {
-        let m = lut.len() / 256;
-        let split = m - m % 8;
-        let base = lut.as_ptr() as *const i32;
-        let mut offs = _mm256_setr_epi32(0, 256, 512, 768, 1024, 1280, 1536, 1792);
-        let step = _mm256_set1_epi32(8 * 256);
-        let mut a0 = _mm256_setzero_si256();
-        let mut a1 = _mm256_setzero_si256();
-        let mut a2 = _mm256_setzero_si256();
-        let mut a3 = _mm256_setzero_si256();
-        let mut i = 0;
-        while i < split {
-            let i0 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(c0.add(i) as *const __m128i));
-            let i1 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(c1.add(i) as *const __m128i));
-            let i2 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(c2.add(i) as *const __m128i));
-            let i3 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(c3.add(i) as *const __m128i));
-            a0 =
-                _mm256_add_epi32(a0, _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(offs, i0)));
-            a1 =
-                _mm256_add_epi32(a1, _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(offs, i1)));
-            a2 =
-                _mm256_add_epi32(a2, _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(offs, i2)));
-            a3 =
-                _mm256_add_epi32(a3, _mm256_i32gather_epi32::<4>(base, _mm256_add_epi32(offs, i3)));
-            offs = _mm256_add_epi32(offs, step);
-            i += 8;
-        }
-        let (s0, s1, s2, s3) = reduce_quad_epi32(a0, a1, a2, a3);
-        let (mut s0, mut s1, mut s2, mut s3) = (s0 as u32, s1 as u32, s2 as u32, s3 as u32);
-        for s in split..m {
-            s0 = s0.wrapping_add(lut[s * 256 + *c0.add(s) as usize]);
-            s1 = s1.wrapping_add(lut[s * 256 + *c1.add(s) as usize]);
-            s2 = s2.wrapping_add(lut[s * 256 + *c2.add(s) as usize]);
-            s3 = s3.wrapping_add(lut[s * 256 + *c3.add(s) as usize]);
-        }
-        (s0, s1, s2, s3)
-    }
-
-    /// Blocked 8-bit ADC: quad rows share gather offsets, the tail runs the
-    /// single-row kernel. See [`super::lut_gather_block`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. `lut.len()` must be a multiple of 256 and at
-    /// most `i32::MAX`, and `panel.len()` must equal `lut.len() / 256 *
-    /// out.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lut_gather_block_avx2(lut: &[u32], panel: &[u8], out: &mut [u32]) {
-        let m = lut.len() / 256;
-        let rows = out.len();
-        let pp = panel.as_ptr();
-        let mut r = 0;
-        while r + 4 <= rows {
-            let (s0, s1, s2, s3) = lut_gather_quad_avx2(
-                lut,
-                pp.add(r * m),
-                pp.add((r + 1) * m),
-                pp.add((r + 2) * m),
-                pp.add((r + 3) * m),
-            );
-            out[r] = s0;
-            out[r + 1] = s1;
-            out[r + 2] = s2;
-            out[r + 3] = s3;
-            r += 4;
-        }
-        for r in r..rows {
-            out[r] = lut_gather_avx2(lut, &panel[r * m..(r + 1) * m]);
-        }
-    }
-
-    /// Row-indexed 8-bit ADC sums straight off the flat code store. See
-    /// [`super::lut_gather_rows`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. `lut.len()` must be a multiple of 256 and at
-    /// most `i32::MAX`, `rows.len()` must equal `out.len()`, and every `r` in
-    /// `rows` must satisfy `(r + 1) * (lut.len() / 256) <= codes.len()` without
-    /// overflow.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lut_gather_rows_avx2(lut: &[u32], codes: &[u8], rows: &[usize], out: &mut [u32]) {
-        let m = lut.len() / 256;
-        let pc = codes.as_ptr();
-        let mut r = 0;
-        while r + 4 <= rows.len() {
-            let (s0, s1, s2, s3) = lut_gather_quad_avx2(
-                lut,
-                pc.add(rows[r] * m),
-                pc.add(rows[r + 1] * m),
-                pc.add(rows[r + 2] * m),
-                pc.add(rows[r + 3] * m),
-            );
-            out[r] = s0;
-            out[r + 1] = s1;
-            out[r + 2] = s2;
-            out[r + 3] = s3;
-            r += 4;
-        }
-        for r in r..rows.len() {
-            out[r] = lut_gather_avx2(lut, &codes[rows[r] * m..(rows[r] + 1) * m]);
-        }
-    }
-
-    /// 4-bit ADC fast scan: per subspace the 16-entry table broadcasts to
-    /// both 128-bit lanes and one `pshufb` looks up 32 rows' nibbles at
-    /// once; 32-row strips accumulate `u16` partials (exact for m ≤ 256)
-    /// widened to `u32` at strip end.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. `lut.len()` must be a multiple of 16, and
-    /// `codes_t.len()` must equal `lut.len() / 16 * out.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lut_gather4_block_avx2(lut: &[u8], codes_t: &[u8], out: &mut [u32]) {
-        let m = lut.len() / 16;
-        let rows = out.len();
-        let split = rows - rows % 32;
-        let mask = _mm256_set1_epi8(0x0f);
-        let zero = _mm256_setzero_si256();
-        let pl = lut.as_ptr();
-        let pc = codes_t.as_ptr();
-        let mut r = 0;
-        while r < split {
-            let mut acc_lo = _mm256_setzero_si256();
-            let mut acc_hi = _mm256_setzero_si256();
-            for s in 0..m {
-                let table =
-                    _mm256_broadcastsi128_si256(_mm_loadu_si128(pl.add(s * 16) as *const __m128i));
-                let idx = _mm256_and_si256(
-                    _mm256_loadu_si256(pc.add(s * rows + r) as *const __m256i),
-                    mask,
-                );
-                let vals = _mm256_shuffle_epi8(table, idx);
-                acc_lo = _mm256_add_epi16(acc_lo, _mm256_unpacklo_epi8(vals, zero));
-                acc_hi = _mm256_add_epi16(acc_hi, _mm256_unpackhi_epi8(vals, zero));
-            }
-            // Undo the per-lane unpack interleave: within each 128-bit lane,
-            // unpacklo carried bytes 0–7 and unpackhi bytes 8–15, so lane 0
-            // covers rows r..r+16 and lane 1 rows r+16..r+32.
-            let mut lo = [0u16; 16];
-            let mut hi = [0u16; 16];
-            _mm256_storeu_si256(lo.as_mut_ptr() as *mut __m256i, acc_lo);
-            _mm256_storeu_si256(hi.as_mut_ptr() as *mut __m256i, acc_hi);
-            for j in 0..8 {
-                out[r + j] = lo[j] as u32;
-                out[r + 8 + j] = hi[j] as u32;
-                out[r + 16 + j] = lo[8 + j] as u32;
-                out[r + 24 + j] = hi[8 + j] as u32;
-            }
-            r += 32;
-        }
-        while r < rows {
-            let mut sum = 0u32;
-            for s in 0..m {
-                sum += *pl.add(s * 16 + (*pc.add(s * rows + r) & 15) as usize) as u32;
-            }
-            out[r] = sum;
-            r += 1;
-        }
-    }
-
     // ---- element-wise ---------------------------------------------------
 
     /// # Safety
@@ -1982,16 +1282,6 @@ pub mod reference {
         }
     }
 
-    /// Widening int8 dot, exact in `i32`.
-    pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        assert_eq!(a.len(), b.len());
-        let mut sum = 0i32;
-        for i in 0..a.len() {
-            sum += a[i] as i32 * b[i] as i32;
-        }
-        sum
-    }
-
     /// Naive i-k-j matrix multiply, `out += A · B` — the accumulation-order
     /// reference [`super::gemm`] must match bit-for-bit.
     pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -2016,14 +1306,6 @@ mod tests {
     /// Deterministic non-trivial fill (no RNG needed).
     fn wave(len: usize, phase: f32) -> Vec<f32> {
         (0..len).map(|i| (i as f32 * 0.37 + phase).sin() * 1.5).collect()
-    }
-
-    fn wave_i8(len: usize, phase: u32) -> Vec<i8> {
-        (0..len)
-            .map(|i| {
-                (((i as u32).wrapping_mul(2654435761).wrapping_add(phase) >> 24) as i32 - 128) as i8
-            })
-            .collect()
     }
 
     #[test]
@@ -2163,75 +1445,6 @@ mod tests {
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&got), bits(&want), "dot_block {name} len {len} rows {rows}");
                 }
-                // int8: exact integers, every backend.
-                let ia = wave_i8(len, 7);
-                let ib = wave_i8(len, 99);
-                assert_eq!(
-                    dot_i8(&ia, &ib),
-                    reference::dot_i8(&ia, &ib),
-                    "dot_i8 {name} len {len}"
-                );
-                for rows in [0, 1, 3, 5] {
-                    let panel: Vec<i8> =
-                        (0..rows).flat_map(|r| wave_i8(len, r as u32 + 11)).collect();
-                    let mut got = vec![0i32; rows];
-                    let mut want = vec![0i32; rows];
-                    dot_i8_block(&ia, &panel, &mut got);
-                    striped::dot_i8_block(&ia, &panel, &mut want);
-                    assert_eq!(got, want, "dot_i8_block {name} len {len} rows {rows}");
-                }
-                // Row-indexed int8 dots over a shuffled, repeating row set
-                // (quad path + tail + repeated rows).
-                let store: Vec<i8> = (0..7).flat_map(|r| wave_i8(len, r as u32 + 23)).collect();
-                let rows_idx = [3usize, 0, 6, 6, 2, 5];
-                let mut got = vec![0i32; rows_idx.len()];
-                let mut want = vec![0i32; rows_idx.len()];
-                dot_i8_rows(&ia, &store, &rows_idx, &mut got);
-                striped::dot_i8_rows(&ia, &store, &rows_idx, &mut want);
-                assert_eq!(got, want, "dot_i8_rows {name} len {len}");
-            }
-            // ADC lut gathers: fixed-point integers, exact on every backend.
-            for m in [0usize, 1, 5, 8, 16, 19] {
-                let name = be.name();
-                let lut: Vec<u32> =
-                    (0..m * 256).map(|i| (i as u32).wrapping_mul(2654435761) >> 16).collect();
-                let codes: Vec<u8> = (0..m).map(|s| (s * 37 + 11) as u8).collect();
-                assert_eq!(
-                    lut_gather(&lut, &codes),
-                    striped::lut_gather(&lut, &codes),
-                    "lut_gather {name} m {m}"
-                );
-                for rows in [0usize, 1, 3, 9] {
-                    let panel: Vec<u8> = (0..rows * m).map(|i| (i * 13 + 5) as u8).collect();
-                    let mut got = vec![0u32; rows];
-                    let mut want = vec![0u32; rows];
-                    lut_gather_block(&lut, &panel, &mut got);
-                    striped::lut_gather_block(&lut, &panel, &mut want);
-                    assert_eq!(got, want, "lut_gather_block {name} m {m} rows {rows}");
-                }
-                // Row-indexed ADC sums over a shuffled, repeating row set.
-                let store: Vec<u8> = (0..7 * m).map(|i| (i * 11 + 2) as u8).collect();
-                let rows_idx = [4usize, 1, 1, 6, 0, 3];
-                let mut got = vec![0u32; rows_idx.len()];
-                let mut want = vec![0u32; rows_idx.len()];
-                lut_gather_rows(&lut, &store, &rows_idx, &mut got);
-                striped::lut_gather_rows(&lut, &store, &rows_idx, &mut want);
-                assert_eq!(got, want, "lut_gather_rows {name} m {m}");
-                let lut4: Vec<u8> = (0..m * 16).map(|i| (i * 29 + 3) as u8).collect();
-                let codes4: Vec<u8> = (0..m).map(|s| (s % 16) as u8).collect();
-                assert_eq!(
-                    lut_gather4(&lut4, &codes4),
-                    striped::lut_gather4(&lut4, &codes4),
-                    "lut_gather4 {name} m {m}"
-                );
-                for rows in [0usize, 1, 31, 32, 33, 80] {
-                    let codes_t: Vec<u8> = (0..m * rows).map(|i| (i % 16) as u8).collect();
-                    let mut got = vec![0u32; rows];
-                    let mut want = vec![0u32; rows];
-                    lut_gather4_block(&lut4, &codes_t, &mut got);
-                    striped::lut_gather4_block(&lut4, &codes_t, &mut want);
-                    assert_eq!(got, want, "lut_gather4_block {name} m {m} rows {rows}");
-                }
             }
             // gemm across shapes that exercise every tile edge: full 4×16
             // tiles, 8-wide remainders, scalar column tails, leftover rows,
@@ -2268,50 +1481,6 @@ mod tests {
         assert_eq!(Backend::Avx2.index(), 2);
         assert!(!Backend::Scalar.is_simd());
         assert!(Backend::Sse2.is_simd());
-    }
-
-    #[test]
-    fn lut_gather_known_values() {
-        let mut lut = vec![0u32; 2 * 256];
-        lut[3] = 10;
-        lut[256 + 200] = 5;
-        assert_eq!(lut_gather(&lut, &[3, 200]), 15);
-        assert_eq!(lut_gather(&[], &[]), 0);
-        let lut4: Vec<u8> = (0..32).collect();
-        assert_eq!(lut_gather4(&lut4, &[2, 3]), 2 + 16 + 3);
-        // High nibble bits of a 4-bit code are ignored.
-        assert_eq!(lut_gather4(&lut4, &[0xf2, 3]), 2 + 16 + 3);
-        // Block forms agree with the single-row forms.
-        let mut out = [0u32; 2];
-        lut_gather_block(&lut, &[3, 200, 0, 0], &mut out);
-        assert_eq!(out, [15, 0]);
-        let codes_t = [2, 0, 3, 1]; // transposed: subspace 0 rows, subspace 1 rows
-        lut_gather4_block(&lut4, &codes_t, &mut out);
-        assert_eq!(out, [2 + 16 + 3, 16 + 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "lut_gather: lut length")]
-    fn lut_gather_rejects_mismatch() {
-        lut_gather(&[0u32; 256], &[0, 1]);
-    }
-
-    /// A row index whose end offset `(r + 1) · 16` wraps to 0. Four of
-    /// them reach the 4-row kernels, which offset by `r · 16`.
-    const WRAPPING_ROW: usize = usize::MAX / 16;
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn dot_i8_rows_rejects_a_row_whose_offset_wraps() {
-        let mut out = [0i32; 4];
-        dot_i8_rows(&[1; 16], &[1; 32], &[WRAPPING_ROW; 4], &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn lut_gather_rows_rejects_a_row_whose_offset_wraps() {
-        let mut out = [0u32; 4];
-        lut_gather_rows(&vec![1; 16 * 256], &[1; 32], &[WRAPPING_ROW; 4], &mut out);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Crash-safe storage pieces.
 //!
 //! PAS's serving stack derives expensive state from cheap inputs —
-//! embeddings, an HNSW graph, int8/PQ code stores, semantic-cache entries
-//! — and before this crate it all died with the process. `pas-store`
+//! embeddings, the near tier's index rows, semantic-cache entries — and
+//! before this crate it all died with the process. `pas-store`
 //! holds the pieces that state persists through; the semantic cache
 //! (`pas_gateway::SemanticCache`) is the one index built on top of them:
 //!
@@ -13,7 +13,7 @@
 //!   generation-based compaction. The design generalizes
 //!   `pas_fault::Journal` from JSONL lines to binary frames.
 //! - [`snapshot`] — an atomically-replaced checkpoint file holding an
-//!   opaque payload (the cache's entry table and HNSW graph dump) pinned
+//!   opaque payload (the cache's entry table and its live index rows) pinned
 //!   to a log position, so a warm open restores the state and replays
 //!   only the log suffix.
 //! - [`wire`] and [`crc`] — the little-endian codec and the CRC-32 the

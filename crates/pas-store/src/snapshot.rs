@@ -1,7 +1,7 @@
 //! The checkpoint snapshot file.
 //!
 //! A snapshot pins an opaque payload (the semantic cache's entry table
-//! and HNSW graph dump) to a log position `(generation, op_count)`. On a
+//! and its live index rows) to a log position `(generation, op_count)`. On a
 //! warm open the payload restores the state directly and only the log
 //! records *after* `op_count` replay.
 //!

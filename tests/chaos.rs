@@ -192,7 +192,7 @@ enum CacheOp {
 type SweepCache = SemanticCache<NgramEmbedder>;
 
 /// A 4-entry cache with the near tier on, so every insert logs its
-/// embedding and every checkpoint carries a graph dump.
+/// embedding and every checkpoint carries the live index rows.
 fn sweep_config() -> SemanticCacheConfig {
     SemanticCacheConfig { capacity: 4, tau: 0.3, ..SemanticCacheConfig::default() }
 }

@@ -80,10 +80,11 @@ fn full_pipeline_is_identical_at_1_and_8_threads() {
     assert!(serial.pas_win_rate > serial.baseline_win_rate);
 
     // The pre-normalized vector store keeps the contract too: a cosine HNSW
-    // batch build stores unit vectors + norms, and the entire store (graph,
-    // prepared vectors, norms) plus probe results are bit-identical at any
-    // thread count. (Same function, not a separate #[test]: the thread
-    // count is process-global and the harness runs tests concurrently.)
+    // batch build stores unit vectors + norms, and every stored vector and
+    // norm, plus the probe results for every stored vector, are
+    // bit-identical at any thread count. (Same function, not a separate
+    // #[test]: the thread count is process-global and the harness runs
+    // tests concurrently.)
     let vectors: Vec<Vec<f32>> = (0..300)
         .map(|i| {
             let x = i as f32 * 0.173;
@@ -96,58 +97,19 @@ fn full_pipeline_is_identical_at_1_and_8_threads() {
         pas_par::with_threads(threads, || {
             let mut idx = Hnsw::new(HnswConfig::default(), CosineDistance);
             idx.build_batch(vectors.clone());
-            let dump = idx.dump();
-            let norms: Vec<u32> = (0..idx.len()).map(|id| idx.norm(id).to_bits()).collect();
+            let stored: Vec<(Vec<u32>, u32)> = (0..idx.len())
+                .map(|id| {
+                    let bits = idx.vector(id).iter().map(|x| x.to_bits()).collect();
+                    (bits, idx.norm(id).to_bits())
+                })
+                .collect();
             let probes: Vec<Vec<(usize, u32)>> = vectors
                 .iter()
-                .step_by(13)
                 .map(|q| {
                     idx.search(q, 5, 48).into_iter().map(|n| (n.id, n.distance.to_bits())).collect()
                 })
                 .collect();
-            // The int8 probe tier and the batched probes obey the same
-            // contract: quantized re-ranked results and `search_batch`
-            // results are bit-identical at any thread count.
-            let mut quant = Hnsw::new(HnswConfig::default(), CosineDistance);
-            quant.set_quantization(true);
-            quant.build_batch(vectors.clone());
-            let quant_probes: Vec<Vec<(usize, u32)>> = vectors
-                .iter()
-                .step_by(13)
-                .map(|q| {
-                    quant
-                        .search(q, 5, 48)
-                        .into_iter()
-                        .map(|n| (n.id, n.distance.to_bits()))
-                        .collect()
-                })
-                .collect();
-            // The PQ tier too: seeded codebook training, integer ADC probes,
-            // and the exact re-rank are all bit-identical at any thread
-            // count (training k-means fans out per subspace via pas_par).
-            let mut pq = Hnsw::new(HnswConfig::default(), CosineDistance);
-            pq.set_product_quantization(true);
-            pq.build_batch(vectors.clone());
-            assert!(pq.probe_bytes_per_vector() < 4, "PQ tier must have trained");
-            let pq_probes: Vec<Vec<(usize, u32)>> = vectors
-                .iter()
-                .step_by(13)
-                .map(|q| {
-                    pq.search(q, 5, 48).into_iter().map(|n| (n.id, n.distance.to_bits())).collect()
-                })
-                .collect();
-            let queries: Vec<Vec<f32>> = vectors.iter().step_by(29).cloned().collect();
-            let batched: Vec<Vec<(usize, u32)>> = idx
-                .search_batch(&queries, 5, 48)
-                .into_iter()
-                .map(|r| r.into_iter().map(|n| (n.id, n.distance.to_bits())).collect())
-                .collect();
-            let pq_batched: Vec<Vec<(usize, u32)>> = pq
-                .search_batch(&queries, 5, 48)
-                .into_iter()
-                .map(|r| r.into_iter().map(|n| (n.id, n.distance.to_bits())).collect())
-                .collect();
-            (dump, norms, probes, quant_probes, batched, pq_probes, pq_batched)
+            (stored, probes)
         })
     };
     let store_serial = build(1);
